@@ -38,39 +38,22 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
-	"strconv"
-	"strings"
 
-	"repro/internal/bonnie"
 	"repro/internal/chaos"
 	"repro/internal/harness"
 )
 
+// gridFlags registers the axis flags (-servers through -consistency, and
+// the -netjitter, -fsync-every, -opmix, -readlag knobs) from harness's
+// axis table.
+var gridFlags = harness.GridFlags(flag.CommandLine)
+
 var (
-	servers = flag.String("servers", "filer", "comma list of servers: filer, linux, slow100, local")
-	configs = flag.String("configs", "stock", "comma list of client configs: stock, nolimits, hash, enhanced")
-	sizes   = flag.String("sizes", "40", "file sizes in MB: comma list (25,100) or range lo..hi:step (25..450:25)")
-	wsizes  = flag.String("wsizes", "", "comma list of wsize bytes (multiples of 4096; default: each config's own)")
-	cpus    = flag.String("cpus", "", "comma list of client CPU counts (default 2)")
-	clients = flag.String("clients", "", "comma list of concurrent client machines per run, e.g. 1,2,4,8 (default 1)")
-	caches  = flag.String("cache", "", "comma list of page-cache limits in MB (default: the 2.4.4 budget)")
-	jumbo   = flag.String("jumbo", "off", "jumbo frames: off, on, or both (an axis)")
-	trans   = flag.String("transport", "udp", "comma list of RPC transports: udp, tcp")
-	loss    = flag.String("loss", "0", "comma list of per-fragment drop probabilities, e.g. 0,0.01,0.05")
-	workld  = flag.String("workload", "write", "comma list of workloads: write, rewrite, read, mixed, randread, randwrite, db, zipf, shared")
-	files   = flag.String("files", "", "comma list of zipf file populations, e.g. 100,1000 (default 100)")
-	zipfS   = flag.String("zipf-s", "", "comma list of zipf skew exponents, e.g. 0.8,1.2,uniform (default 1.2)")
-	opMix   = flag.String("opmix", "", "zipf op mix as create/write/read/stat/remove percentages, e.g. 10/30/40/15/5 (not an axis)")
-	acTime  = flag.String("actimeout", "", "comma list of attribute-cache windows: off, default, or durations like 3s,60s")
-	shared  = flag.String("shared", "", "comma list of shared-workload writer percentages, e.g. 25,50,75 (default 50)")
-	readLag = flag.Duration("readlag", 0, "shared-workload pause between reader passes (e.g. 5ms; not an axis)")
-	consist = flag.String("consistency", "", "comma list of cache-consistency modes: ttl, strict, noac")
-	fsyncEv = flag.Int("fsync-every", 0, "flush (group commit) every N chunks during the I/O phase; 0 = never (db defaults to 32; not an axis)")
-	jitter  = flag.Duration("netjitter", 0, "max extra random delivery delay per datagram (e.g. 200us; not an axis)")
 	seed    = flag.Int64("seed", 1, "base simulation seed")
 	repeats = flag.Int("repeats", 1, "repeats per cell with seeds seed, seed+1, ...")
 	workers = flag.Int("workers", 0, "worker-pool size (0 = one per CPU); does not change results")
@@ -86,124 +69,22 @@ func fatalf(f string, args ...any) {
 	os.Exit(2)
 }
 
-func parseIntList(spec string) ([]int, error) {
-	if spec == "" {
-		return nil, nil
-	}
-	var out []int
-	for _, f := range strings.Split(spec, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil || n <= 0 {
-			return nil, fmt.Errorf("bad value %q", f)
-		}
-		out = append(out, n)
-	}
-	return out, nil
-}
-
-func buildGrid() harness.Grid {
-	var g harness.Grid
-	var err error
-	if g.Servers, err = harness.ParseServers(*servers); err != nil {
-		fatalf("%v", err)
-	}
-	if g.Configs, err = harness.ParseConfigs(*configs); err != nil {
-		fatalf("%v", err)
-	}
-	if g.FileSizesMB, err = harness.ParseSizes(*sizes); err != nil {
-		fatalf("%v", err)
-	}
-	if g.WSizes, err = parseIntList(*wsizes); err != nil {
-		fatalf("-wsizes: %v", err)
-	}
-	for _, ws := range g.WSizes {
-		if ws%4096 != 0 {
-			fatalf("-wsizes: %d is not a multiple of the 4096-byte page size", ws)
-		}
-	}
-	if g.ClientCPUs, err = parseIntList(*cpus); err != nil {
-		fatalf("-cpus: %v", err)
-	}
-	if g.Clients, err = parseIntList(*clients); err != nil {
-		fatalf("-clients: %v", err)
-	}
-	cacheMBs, err := parseIntList(*caches)
+// buildGrid is the axis flags' grid plus the run controls.
+func buildGrid() (harness.Grid, error) {
+	g, err := gridFlags()
 	if err != nil {
-		fatalf("-cache: %v", err)
+		return g, err
 	}
-	for _, mb := range cacheMBs {
-		g.CacheLimits = append(g.CacheLimits, int64(mb)<<20)
-	}
-	switch *jumbo {
-	case "off":
-	case "on":
-		g.Jumbo = []bool{true}
-	case "both":
-		g.Jumbo = []bool{false, true}
-	default:
-		fatalf("-jumbo must be off, on, or both")
-	}
-	if g.Transports, err = harness.ParseTransports(*trans); err != nil {
-		fatalf("-transport: %v", err)
-	}
-	if g.LossRates, err = harness.ParseLossRates(*loss); err != nil {
-		fatalf("-loss: %v", err)
-	}
-	if g.Workloads, err = harness.ParseWorkloads(*workld); err != nil {
-		fatalf("-workload: %v", err)
-	}
-	if *files != "" {
-		if g.FileCounts, err = harness.ParseFileCounts(*files); err != nil {
-			fatalf("-files: %v", err)
-		}
-	}
-	if *zipfS != "" {
-		if g.ZipfSs, err = harness.ParseZipfSs(*zipfS); err != nil {
-			fatalf("-zipf-s: %v", err)
-		}
-	}
-	if *opMix != "" {
-		if g.Mix, err = bonnie.ParseOpMix(*opMix); err != nil {
-			fatalf("-opmix: %v", err)
-		}
-	}
-	if *acTime != "" {
-		if g.AcTimeouts, err = harness.ParseAcTimeouts(*acTime); err != nil {
-			fatalf("-actimeout: %v", err)
-		}
-	}
-	if *shared != "" {
-		if g.Sharings, err = harness.ParseSharings(*shared); err != nil {
-			fatalf("-shared: %v", err)
-		}
-	}
-	if *readLag < 0 {
-		fatalf("-readlag must be non-negative")
-	}
-	g.ReadLag = *readLag
-	if *consist != "" {
-		if g.Consistencies, err = harness.ParseConsistencies(*consist); err != nil {
-			fatalf("-consistency: %v", err)
-		}
-	}
-	if *fsyncEv < 0 {
-		fatalf("-fsync-every must be non-negative")
-	}
-	g.FsyncEvery = *fsyncEv
-	if *jitter < 0 {
-		fatalf("-netjitter must be non-negative")
-	}
-	g.NetJitter = *jitter
 	if *seed <= 0 {
-		fatalf("-seed must be positive")
+		return g, errors.New("-seed must be positive")
+	}
+	if *repeats < 1 {
+		return g, errors.New("-repeats must be >= 1")
 	}
 	g.Seeds = []int64{*seed}
-	if *repeats < 1 {
-		fatalf("-repeats must be >= 1")
-	}
 	g.Repeats = *repeats
 	g.SkipFlushClose = !*full
-	return g
+	return g, nil
 }
 
 type renderers struct {
@@ -262,7 +143,10 @@ func main() {
 		return
 	}
 	render := renderersFor(*format)
-	g := buildGrid()
+	g, err := buildGrid()
+	if err != nil {
+		fatalf("%v", err)
+	}
 	scenarios := g.Expand()
 	if !*quiet {
 		fmt.Fprintf(os.Stderr, "nfssweep: %d scenarios (%d cells x %d repeats)\n",

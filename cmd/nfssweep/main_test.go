@@ -2,6 +2,9 @@ package main
 
 import (
 	"flag"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -26,10 +29,19 @@ func setFlags(t *testing.T, kv map[string]string) {
 	}
 }
 
+func mustGrid(t *testing.T) harness.Grid {
+	t.Helper()
+	g, err := buildGrid()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
 // The default flag values build the classic one-cell write grid, with
 // none of the newer axes leaking into the scenario key.
 func TestBuildGridDefaults(t *testing.T) {
-	scens := buildGrid().Expand()
+	scens := mustGrid(t).Expand()
 	if len(scens) != 1 {
 		t.Fatalf("default grid expanded to %d scenarios, want 1", len(scens))
 	}
@@ -53,8 +65,7 @@ func TestBuildGridZipfAxes(t *testing.T) {
 		"opmix":     "10/30/40/15/5",
 		"actimeout": "off,default",
 	})
-	g := buildGrid()
-	scens := g.Expand()
+	scens := mustGrid(t).Expand()
 	if len(scens) != 8 { // 2 populations x 2 skews x 2 cache windows
 		t.Fatalf("zipf grid expanded to %d scenarios, want 8", len(scens))
 	}
@@ -71,19 +82,41 @@ func TestBuildGridZipfAxes(t *testing.T) {
 	}
 }
 
+// The integer-list axes (-cpus here) trim spaces and reject
+// non-positive or malformed entries.
 func TestParseIntList(t *testing.T) {
-	got, err := parseIntList("1, 2,8")
-	if err != nil || len(got) != 3 || got[0] != 1 || got[2] != 8 {
-		t.Fatalf("got %v, %v", got, err)
+	setFlags(t, map[string]string{"cpus": "1, 2,8"})
+	if g := mustGrid(t); !reflect.DeepEqual(g.ClientCPUs, []int{1, 2, 8}) {
+		t.Fatalf("-cpus 1, 2,8 = %v", g.ClientCPUs)
 	}
-	if out, err := parseIntList(""); err != nil || out != nil {
-		t.Fatalf("empty spec: %v, %v", out, err)
+	setFlags(t, map[string]string{"cpus": ""})
+	if g := mustGrid(t); g.ClientCPUs != nil {
+		t.Fatalf("empty -cpus = %v", g.ClientCPUs)
 	}
 	for _, bad := range []string{"0", "-3", "x", "1,,2"} {
-		if _, err := parseIntList(bad); err == nil {
-			t.Fatalf("parseIntList(%q) accepted", bad)
+		setFlags(t, map[string]string{"cpus": bad})
+		if _, err := buildGrid(); err == nil || !strings.HasPrefix(err.Error(), "-cpus:") {
+			t.Fatalf("-cpus %q: err %v", bad, err)
 		}
 	}
+}
+
+// Every table flag has a row in docs/experiments.md §1, so the guide
+// cannot drift from the command line again.
+func TestAxisFlagsDocumented(t *testing.T) {
+	doc, err := os.ReadFile(filepath.Join("..", "..", "docs", "experiments.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, sec1, _ := strings.Cut(string(doc), "## 1. The sweep grid")
+	sec1, _, _ = strings.Cut(sec1, "## 2.")
+	fs := flag.NewFlagSet("nfssweep", flag.ContinueOnError)
+	harness.GridFlags(fs)
+	fs.VisitAll(func(f *flag.Flag) {
+		if !strings.Contains(sec1, "| `-"+f.Name) {
+			t.Errorf("-%s has no row in docs/experiments.md §1", f.Name)
+		}
+	})
 }
 
 func TestRenderersFor(t *testing.T) {
@@ -100,7 +133,7 @@ func TestRenderersFor(t *testing.T) {
 // output format.
 func TestOneScenarioRuns(t *testing.T) {
 	setFlags(t, map[string]string{"sizes": "1"})
-	scens := buildGrid().Expand()
+	scens := mustGrid(t).Expand()
 	if len(scens) != 1 {
 		t.Fatalf("expanded %d scenarios", len(scens))
 	}

@@ -6,6 +6,9 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/bonnie"
+	"repro/internal/rpcsim"
 )
 
 const sampleYAML = `
@@ -95,8 +98,8 @@ scenarios:
 		t.Fatal(err)
 	}
 	f := scs[0].Fleet
-	if f.Config != "enhanced" || f.Clients != 1 || f.FileMB != 8 ||
-		f.Workload != "write" || f.Transport != "udp" || f.Seed != 1 {
+	if f.Config.Name != "enhanced" || f.Clients != 1 || f.FileMB != 8 ||
+		f.Workload != bonnie.WorkloadWrite || f.Transport != rpcsim.TransportUDP || f.Seed != 1 {
 		t.Fatalf("defaults not applied: %+v", f)
 	}
 	if f.TimeLimit == 0 {
@@ -257,6 +260,23 @@ scenarios:
     events:
       - action: assert_completes
 `, "consistency"},
+		{"wsize not a page multiple", `
+scenarios:
+  - name: x
+    fleet:
+      server: filer
+      wsize: 1000
+    events:
+      - action: assert_completes
+`, "wsize"},
+		{"local server", `
+scenarios:
+  - name: x
+    fleet:
+      server: local
+    events:
+      - action: assert_completes
+`, "not an NFS server"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -16,8 +16,6 @@ import (
 	"time"
 
 	nfssim "repro"
-	"repro/internal/bonnie"
-	"repro/internal/core"
 	"repro/internal/harness"
 	"repro/internal/rpcsim"
 	"repro/internal/server"
@@ -25,36 +23,20 @@ import (
 )
 
 // Fleet describes the test bed a scenario runs its events against.
+// The embedded harness.Scenario holds the axis keys — server, config,
+// clients, file_mb, wsize, workload, consistency, transport, loss —
+// resolved through harness's axis table, so they parse and validate
+// exactly as the matching nfssweep flags do. Defaults are the sweep's,
+// except config (enhanced) and file_mb (8). The seed (default 1) and
+// time_limit (default 30m) keys fill its Seed and TimeLimit. Crash
+// events require transport udp: stream connection state across a server
+// reboot is not modeled.
 type Fleet struct {
-	// Server is the backend kind: filer, linux, or slow100.
-	Server string `json:"server"`
-	// Config is the client configuration name (default "enhanced").
-	Config string `json:"config,omitempty"`
-	// Clients is the number of client machines (default 1).
-	Clients int `json:"clients,omitempty"`
-	// FileMB is the per-client file size in MB (default 8).
-	FileMB int `json:"file_mb,omitempty"`
-	// WSize overrides the configuration's write size (bytes).
-	WSize int `json:"wsize,omitempty"`
-	// Workload is the bonnie workload name (default "write").
-	Workload string `json:"workload,omitempty"`
-	// Consistency is the client consistency mode: "ttl" (default),
-	// "strict", or "noac". It matters for the shared workload, where it
-	// sets how eagerly readers revalidate against foreign writes.
-	Consistency string `json:"consistency,omitempty"`
-	// Transport is "udp" (default) or "tcp". Crash events require UDP:
-	// stream connection state across a server reboot is not modeled.
-	Transport string `json:"transport,omitempty"`
-	// Loss is the baseline per-fragment drop probability, in [0, 1).
-	Loss float64 `json:"loss,omitempty"`
-	// Seed is the simulation seed (default 1).
-	Seed int64 `json:"seed,omitempty"`
+	harness.Scenario
 	// MaxRetries caps per-call RPC retransmits; past it the transport
 	// surfaces a DeadServerError instead of retrying forever. 0 keeps the
 	// classic hard-mount behavior (retry until the run's time limit).
-	MaxRetries int `json:"max_retries,omitempty"`
-	// TimeLimit bounds the run's virtual time (default 30m).
-	TimeLimit sim.Time `json:"-"`
+	MaxRetries int
 }
 
 // Event is one timed fault injection or end-of-run assertion.
@@ -188,39 +170,12 @@ func (sc *Scenario) EncodeJSON() ([]byte, error) {
 		}
 		events = append(events, m)
 	}
-	fleet := map[string]any{"server": sc.Fleet.Server}
-	if sc.Fleet.Config != "" {
-		fleet["config"] = sc.Fleet.Config
-	}
-	if sc.Fleet.Clients != 0 {
-		fleet["clients"] = sc.Fleet.Clients
-	}
-	if sc.Fleet.FileMB != 0 {
-		fleet["file_mb"] = sc.Fleet.FileMB
-	}
-	if sc.Fleet.WSize != 0 {
-		fleet["wsize"] = sc.Fleet.WSize
-	}
-	if sc.Fleet.Workload != "" {
-		fleet["workload"] = sc.Fleet.Workload
-	}
-	if sc.Fleet.Consistency != "" {
-		fleet["consistency"] = sc.Fleet.Consistency
-	}
-	if sc.Fleet.Transport != "" {
-		fleet["transport"] = sc.Fleet.Transport
-	}
-	if sc.Fleet.Loss != 0 {
-		fleet["loss"] = sc.Fleet.Loss
-	}
-	if sc.Fleet.Seed != 0 {
-		fleet["seed"] = sc.Fleet.Seed
+	fleet := map[string]any{"seed": sc.Fleet.Seed, "time_limit": sc.Fleet.TimeLimit.String()}
+	for k, v := range sc.Fleet.FleetKeys() {
+		fleet[k] = v
 	}
 	if sc.Fleet.MaxRetries != 0 {
 		fleet["max_retries"] = sc.Fleet.MaxRetries
-	}
-	if sc.Fleet.TimeLimit != 0 {
-		fleet["time_limit"] = sc.Fleet.TimeLimit.String()
 	}
 	doc := map[string]any{"name": sc.Name, "fleet": fleet, "events": events}
 	if sc.Description != "" {
@@ -280,6 +235,7 @@ func decodeScenarioList(items []any) ([]*Scenario, error) {
 
 func decodeScenario(m map[string]any) (*Scenario, error) {
 	sc := &Scenario{}
+	fm := map[string]any{}
 	for key, val := range m {
 		switch key {
 		case "name":
@@ -295,15 +251,10 @@ func decodeScenario(m map[string]any) (*Scenario, error) {
 			}
 			sc.Description = s
 		case "fleet":
-			fm, ok := val.(map[string]any)
-			if !ok {
+			var ok bool
+			if fm, ok = val.(map[string]any); !ok {
 				return nil, fmt.Errorf("fleet: expected a map")
 			}
-			fleet, err := decodeFleet(fm)
-			if err != nil {
-				return nil, err
-			}
-			sc.Fleet = fleet
 		case "events":
 			list, ok := val.([]any)
 			if !ok {
@@ -327,49 +278,61 @@ func decodeScenario(m map[string]any) (*Scenario, error) {
 	if sc.Name == "" {
 		return nil, fmt.Errorf("scenario needs a name")
 	}
+	fleet, err := decodeFleet(fm)
+	if err != nil {
+		return nil, fmt.Errorf("scenario %q: %w", sc.Name, err)
+	}
+	sc.Fleet = fleet
 	if err := sc.validate(); err != nil {
 		return nil, fmt.Errorf("scenario %q: %w", sc.Name, err)
 	}
 	return sc, nil
 }
 
+// decodeFleet resolves the axis keys through harness.FleetScenario and
+// handles the run controls (seed, max_retries, time_limit) itself.
 func decodeFleet(m map[string]any) (Fleet, error) {
-	f := Fleet{}
+	if _, ok := m["server"]; !ok {
+		return Fleet{}, fmt.Errorf("fleet.server is required (filer, linux, or slow100)")
+	}
+	var f Fleet
+	var seed int64
+	var limit sim.Time
+	axes := make(map[string]string, len(m))
 	for key, val := range m {
 		var err error
 		switch key {
-		case "server":
-			f.Server, err = asString(val)
-		case "config":
-			f.Config, err = asString(val)
-		case "clients":
-			f.Clients, err = asInt(val)
-		case "file_mb":
-			f.FileMB, err = asInt(val)
-		case "wsize":
-			f.WSize, err = asInt(val)
-		case "workload":
-			f.Workload, err = asString(val)
-		case "consistency":
-			f.Consistency, err = asString(val)
-		case "transport":
-			f.Transport, err = asString(val)
-		case "loss":
-			f.Loss, err = asFloat(val)
 		case "seed":
-			var n int64
-			n, err = asInt64(val)
-			f.Seed = n
+			seed, err = asInt64(val)
 		case "max_retries":
 			f.MaxRetries, err = asInt(val)
 		case "time_limit":
-			f.TimeLimit, err = asDuration(val)
+			limit, err = asDuration(val)
 		default:
-			return f, fmt.Errorf("fleet: unknown key %q", key)
+			axes[key], err = asScalar(val)
 		}
 		if err != nil {
 			return f, fmt.Errorf("fleet.%s: %w", key, err)
 		}
+	}
+	var err error
+	if f.Scenario, err = harness.FleetScenario(axes); err != nil {
+		return f, err
+	}
+	switch {
+	case f.Server == nfssim.ServerNone:
+		return f, fmt.Errorf("fleet.server: %q is not an NFS server kind (want filer, linux, or slow100)", axes["server"])
+	case f.MaxRetries < 0:
+		return f, fmt.Errorf("fleet.max_retries must be >= 0")
+	case limit < 0:
+		return f, fmt.Errorf("fleet.time_limit must be positive")
+	}
+	// The one-cell grid already defaults seed 1 and a 30m time limit.
+	if seed != 0 {
+		f.Seed = seed
+	}
+	if limit != 0 {
+		f.TimeLimit = limit
 	}
 	return f, nil
 }
@@ -435,69 +398,13 @@ func decodeEvent(m map[string]any) (Event, error) {
 	return ev, nil
 }
 
-// validate applies the schema's semantic rules: defaults, ranges, host
-// names, and crash/restart ordering.
+// validate applies the schema's event rules: ranges, host names, and
+// crash/restart ordering.
 func (sc *Scenario) validate() error {
 	if len(sc.Events) == 0 {
 		return fmt.Errorf("a scenario needs at least one entry under events: (an event or an assert)")
 	}
 	f := &sc.Fleet
-	if f.Server == "" {
-		return fmt.Errorf("fleet.server is required (filer, linux, or slow100)")
-	}
-	if _, err := harness.ServerByName(f.Server); err != nil || f.Server == "local" || f.Server == "none" {
-		return fmt.Errorf("fleet.server: %q is not an NFS server kind (want filer, linux, or slow100)", f.Server)
-	}
-	if f.Config == "" {
-		f.Config = "enhanced"
-	}
-	if _, err := harness.ConfigByName(f.Config); err != nil {
-		return fmt.Errorf("fleet.config: %w", err)
-	}
-	if f.Clients == 0 {
-		f.Clients = 1
-	}
-	if f.Clients < 1 {
-		return fmt.Errorf("fleet.clients must be >= 1")
-	}
-	if f.FileMB == 0 {
-		f.FileMB = 8
-	}
-	if f.FileMB < 1 {
-		return fmt.Errorf("fleet.file_mb must be >= 1")
-	}
-	if f.Workload == "" {
-		f.Workload = "write"
-	}
-	if _, err := bonnie.ParseWorkload(f.Workload); err != nil {
-		return fmt.Errorf("fleet.workload: %w", err)
-	}
-	if _, ok := core.ParseConsistency(f.Consistency); !ok {
-		return fmt.Errorf("fleet.consistency: unknown mode %q (want ttl, strict, or noac)", f.Consistency)
-	}
-	if f.Transport == "" {
-		f.Transport = "udp"
-	}
-	transport, err := rpcsim.ParseTransport(f.Transport)
-	if err != nil {
-		return fmt.Errorf("fleet.transport: %w", err)
-	}
-	if f.Loss < 0 || f.Loss >= 1 {
-		return fmt.Errorf("fleet.loss must be in [0, 1); use link_down for a dead link")
-	}
-	if f.Seed == 0 {
-		f.Seed = 1
-	}
-	if f.MaxRetries < 0 {
-		return fmt.Errorf("fleet.max_retries must be >= 0")
-	}
-	if f.TimeLimit == 0 {
-		f.TimeLimit = 30 * time.Minute
-	}
-	if f.TimeLimit < 0 {
-		return fmt.Errorf("fleet.time_limit must be positive")
-	}
-
 	crashed := false
 	for i := range sc.Events {
 		ev := &sc.Events[i]
@@ -506,7 +413,7 @@ func (sc *Scenario) validate() error {
 		}
 		switch ev.Action {
 		case "server_crash":
-			if transport == rpcsim.TransportTCP {
+			if f.Transport == rpcsim.TransportTCP {
 				return fmt.Errorf("server_crash requires transport udp (stream state across a reboot is not modeled)")
 			}
 			if crashed {
@@ -629,42 +536,40 @@ func asString(v any) (string, error) {
 	return s, nil
 }
 
+// asScalar spells a YAML or JSON scalar the way a command-line flag
+// would: JSON numbers in plain decimal, never exponent form.
+func asScalar(v any) (string, error) {
+	switch x := v.(type) {
+	case string:
+		return strings.TrimSpace(x), nil
+	case float64:
+		return strconv.FormatFloat(x, 'f', -1, 64), nil
+	default:
+		return "", fmt.Errorf("expected a scalar, got %T", v)
+	}
+}
+
 func asInt(v any) (int, error) {
 	n, err := asInt64(v)
 	return int(n), err
 }
 
 func asInt64(v any) (int64, error) {
-	switch x := v.(type) {
-	case string:
-		n, err := strconv.ParseInt(strings.TrimSpace(x), 10, 64)
-		if err != nil {
-			return 0, fmt.Errorf("expected an integer, got %q", x)
-		}
-		return n, nil
-	case float64:
-		if x != float64(int64(x)) {
-			return 0, fmt.Errorf("expected an integer, got %v", x)
-		}
-		return int64(x), nil
-	default:
-		return 0, fmt.Errorf("expected an integer, got %T", v)
+	s, err := asScalar(v)
+	n, perr := strconv.ParseInt(s, 10, 64)
+	if err != nil || perr != nil {
+		return 0, fmt.Errorf("expected an integer, got %#v", v)
 	}
+	return n, nil
 }
 
 func asFloat(v any) (float64, error) {
-	switch x := v.(type) {
-	case string:
-		f, err := strconv.ParseFloat(strings.TrimSpace(x), 64)
-		if err != nil {
-			return 0, fmt.Errorf("expected a number, got %q", x)
-		}
-		return f, nil
-	case float64:
-		return x, nil
-	default:
-		return 0, fmt.Errorf("expected a number, got %T", v)
+	s, err := asScalar(v)
+	f, perr := strconv.ParseFloat(s, 64)
+	if err != nil || perr != nil {
+		return 0, fmt.Errorf("expected a number, got %#v", v)
 	}
+	return f, nil
 }
 
 func asDuration(v any) (sim.Time, error) {

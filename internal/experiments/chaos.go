@@ -150,7 +150,7 @@ func ChaosSweep() *ChaosSweepResult {
 		}
 		r.Rows = append(r.Rows, ChaosRow{
 			Name:      rep.Scenario.Name,
-			Server:    rep.Scenario.Fleet.Server,
+			Server:    rep.Scenario.Fleet.Server.String(),
 			Status:    status,
 			AggMBps:   rep.Result.AggMBps,
 			Lost:      rep.LostBytes,

@@ -13,14 +13,12 @@ package harness
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 	"time"
 
 	nfssim "repro"
 	"repro/internal/bonnie"
 	"repro/internal/core"
-	"repro/internal/mm"
 	"repro/internal/rpcsim"
 	"repro/internal/sim"
 )
@@ -41,36 +39,6 @@ func NamedConfigs() []ClientConfig {
 		{"hash", core.HashConfig()},
 		{"enhanced", core.EnhancedConfig()},
 	}
-}
-
-// ConfigByName resolves one canonical configuration name.
-func ConfigByName(name string) (ClientConfig, error) {
-	for _, c := range NamedConfigs() {
-		if c.Name == name {
-			return c, nil
-		}
-	}
-	names := make([]string, 0, 4)
-	for _, c := range NamedConfigs() {
-		names = append(names, c.Name)
-	}
-	return ClientConfig{}, fmt.Errorf("harness: unknown config %q (have %s)", name, strings.Join(names, ", "))
-}
-
-// ServerByName resolves a server-kind name as printed by
-// nfssim.ServerKind.String.
-func ServerByName(name string) (nfssim.ServerKind, error) {
-	switch name {
-	case "filer":
-		return nfssim.ServerFiler, nil
-	case "linux":
-		return nfssim.ServerLinux, nil
-	case "slow100":
-		return nfssim.ServerSlow100, nil
-	case "local", "none":
-		return nfssim.ServerNone, nil
-	}
-	return 0, fmt.Errorf("harness: unknown server %q (have filer, linux, slow100, local)", name)
 }
 
 // Scenario is one fully-specified benchmark run. Expand fills every
@@ -136,69 +104,17 @@ type Scenario struct {
 }
 
 // Key identifies the scenario's grid cell — every axis except seed and
-// repeat — for grouping repeated runs. The cache limit appears in exact
-// bytes: keying on truncated megabytes used to fold two cache limits
-// differing by less than 1 MiB into one aggregation cell. The transport,
-// loss, jitter, workload, file-count, Zipf-skew, op-mix, attribute-cache,
-// sharing, read-lag, and consistency axes appear only at non-default
-// values, so sweeps over the pre-existing axes keep byte-identical keys
-// (and hence output) to the tree before those axes existed — pinned by
-// the golden-CSV tests in harness_test.go.
+// repeat — for grouping repeated runs: the concatenated segments of the
+// axis table, in table order. Axes added after the paper's grid print
+// nothing at their defaults, so sweeps over the pre-existing axes keep
+// byte-identical keys (and hence output) — pinned by the golden-CSV
+// tests in harness_test.go.
 func (sc Scenario) Key() string {
-	clients := sc.Clients
-	if clients < 1 {
-		clients = 1 // hand-built pre-Clients scenarios; matches RunScenario
+	var b strings.Builder
+	for _, a := range axes {
+		b.WriteString(a.segment(&sc))
 	}
-	key := fmt.Sprintf("%s/%s/%dMB/w%d/c%d/n%d/m%dB/j%v",
-		sc.Server, sc.Config.Name, sc.FileMB, sc.WSize, sc.ClientCPUs,
-		clients, sc.CacheLimit, sc.Jumbo)
-	if sc.Transport != rpcsim.TransportUDP {
-		key += "/" + sc.Transport.String()
-	}
-	if sc.Loss > 0 {
-		// FormatFloat 'g'/-1 is byte-identical to the old %v but pins
-		// the encoding explicitly (keyfmt).
-		key += "/l" + strconv.FormatFloat(sc.Loss, 'g', -1, 64)
-	}
-	if sc.NetJitter > 0 {
-		key += fmt.Sprintf("/nj%v", sc.NetJitter)
-	}
-	if sc.Workload != bonnie.WorkloadWrite {
-		key += "/" + sc.Workload.String()
-	}
-	if sc.FsyncEvery > 0 {
-		key += fmt.Sprintf("/f%d", sc.FsyncEvery)
-	}
-	if sc.FileCount != 0 {
-		key += fmt.Sprintf("/fc%d", sc.FileCount)
-	}
-	if sc.ZipfS != 0 {
-		if sc.ZipfS == bonnie.ZipfUniform {
-			key += "/zuni"
-		} else {
-			key += "/z" + strconv.FormatFloat(sc.ZipfS, 'g', -1, 64)
-		}
-	}
-	if !sc.Mix.IsZero() {
-		key += "/" + sc.Mix.String()
-	}
-	if sc.AcTimeout != 0 {
-		if sc.AcTimeout < 0 {
-			key += "/acoff"
-		} else {
-			key += fmt.Sprintf("/ac%v", sc.AcTimeout)
-		}
-	}
-	if sc.SharedWriterPct != 0 && sc.SharedWriterPct != bonnie.DefaultSharedWriterPct {
-		key += fmt.Sprintf("/sw%d", sc.SharedWriterPct)
-	}
-	if sc.SharedReadLag > 0 {
-		key += fmt.Sprintf("/rl%v", sc.SharedReadLag)
-	}
-	if sc.Consistency != core.ConsistencyTTL {
-		key += "/" + sc.Consistency.String()
-	}
-	return key
+	return b.String()
 }
 
 // Name is the scenario's full identity including seed and repeat.
@@ -207,7 +123,8 @@ func (sc Scenario) Name() string {
 }
 
 // Grid declares the sweep axes. Expand produces the exact cross-product
-// of every non-empty axis; empty axes fall back to the listed default.
+// of every non-empty axis; empty axes fall back to the listed default
+// (the axis table in axes.go is where Expand takes it from).
 type Grid struct {
 	Servers     []nfssim.ServerKind    // default: filer
 	Configs     []ClientConfig         // default: stock
@@ -259,65 +176,12 @@ type Grid struct {
 	TimeLimit      sim.Time
 }
 
-func orInts(xs []int, def int) []int {
-	if len(xs) == 0 {
-		return []int{def}
-	}
-	return xs
-}
-
-// Expand returns the cross-product of all axes in a fixed nesting order
-// (config, server, file size, wsize, CPUs, clients, cache limit, jumbo,
-// transport, loss, workload, file count, Zipf skew, ac timeout, sharing,
-// consistency, seed, repeat — innermost last), with every Scenario field
-// resolved to its concrete value. The order is deterministic: the same
-// Grid always expands to the same slice.
+// Expand returns the cross-product of all axes, nested in the axis
+// table's order with config hoisted outermost, then seed and repeat
+// innermost, with every Scenario field resolved to its concrete value.
+// The order is deterministic: the same Grid always expands to the same
+// slice.
 func (g Grid) Expand() []Scenario {
-	servers := g.Servers
-	if len(servers) == 0 {
-		servers = []nfssim.ServerKind{nfssim.ServerFiler}
-	}
-	configs := g.Configs
-	if len(configs) == 0 {
-		configs = []ClientConfig{{"stock", core.Stock244Config()}}
-	}
-	sizes := orInts(g.FileSizesMB, 40)
-	cpus := orInts(g.ClientCPUs, 2)
-	clients := orInts(g.Clients, 1)
-	caches := g.CacheLimits
-	if len(caches) == 0 {
-		caches = []int64{mm.DefaultDirtyLimit}
-	}
-	jumbos := g.Jumbo
-	if len(jumbos) == 0 {
-		jumbos = []bool{false}
-	}
-	transports := g.Transports
-	if len(transports) == 0 {
-		transports = []rpcsim.TransportKind{rpcsim.TransportUDP}
-	}
-	losses := g.LossRates
-	if len(losses) == 0 {
-		losses = []float64{0}
-	}
-	workloads := g.Workloads
-	if len(workloads) == 0 {
-		workloads = []bonnie.Workload{bonnie.WorkloadWrite}
-	}
-	fileCounts := orInts(g.FileCounts, 0)
-	zipfSs := g.ZipfSs
-	if len(zipfSs) == 0 {
-		zipfSs = []float64{0}
-	}
-	acTimeouts := g.AcTimeouts
-	if len(acTimeouts) == 0 {
-		acTimeouts = []sim.Time{0}
-	}
-	sharings := orInts(g.Sharings, 0)
-	consistencies := g.Consistencies
-	if len(consistencies) == 0 {
-		consistencies = []core.ConsistencyMode{core.ConsistencyTTL}
-	}
 	seeds := g.Seeds
 	if len(seeds) == 0 {
 		seeds = []int64{1}
@@ -344,273 +208,21 @@ func (g Grid) Expand() []Scenario {
 	}
 
 	var out []Scenario
-	for _, cfg := range configs {
-		wsizes := orInts(g.WSizes, cfg.Config.WSize)
-		for _, srv := range servers {
-			for _, mb := range sizes {
-				for _, ws := range wsizes {
-					for _, ncpu := range cpus {
-						for _, ncli := range clients {
-							for _, cache := range caches {
-								for _, jumbo := range jumbos {
-									for _, tr := range transports {
-										for _, loss := range losses {
-											for _, wl := range workloads {
-												for _, fc := range fileCounts {
-													for _, zs := range zipfSs {
-														for _, ac := range acTimeouts {
-															for _, sw := range sharings {
-																for _, cons := range consistencies {
-																	for _, seed := range seeds {
-																		for rep := 0; rep < repeats; rep++ {
-																			out = append(out, Scenario{
-																				Server:          srv,
-																				Config:          cfg,
-																				FileMB:          mb,
-																				WSize:           ws,
-																				ClientCPUs:      ncpu,
-																				Clients:         ncli,
-																				CacheLimit:      cache,
-																				Jumbo:           jumbo,
-																				Transport:       tr,
-																				Loss:            loss,
-																				NetJitter:       g.NetJitter,
-																				Workload:        wl,
-																				FsyncEvery:      g.FsyncEvery,
-																				FileCount:       fc,
-																				ZipfS:           zs,
-																				Mix:             g.Mix,
-																				AcTimeout:       ac,
-																				SharedWriterPct: sw,
-																				SharedReadLag:   g.ReadLag,
-																				Consistency:     cons,
-																				Seed:            seed + int64(rep)*span,
-																				Repeat:          rep,
-																				SkipFlushClose:  g.SkipFlushClose,
-																				TimeLimit:       timeLimit,
-																			})
-																		}
-																	}
-																}
-															}
-														}
-													}
-												}
-											}
-										}
-									}
-								}
-							}
-						}
-					}
-				}
+	var nest func(depth int, sc Scenario)
+	nest = func(depth int, sc Scenario) {
+		if depth < len(expandOrder) {
+			expandOrder[depth].each(&g, sc, func(sc Scenario) { nest(depth+1, sc) })
+			return
+		}
+		for _, seed := range seeds {
+			for rep := 0; rep < repeats; rep++ {
+				sc.Seed, sc.Repeat = seed+int64(rep)*span, rep
+				out = append(out, sc)
 			}
 		}
 	}
+	nest(0, Scenario{SkipFlushClose: g.SkipFlushClose, TimeLimit: timeLimit})
 	return out
-}
-
-// ParseSizes parses a file-size axis spec: either a comma list
-// ("25,100,450") or a range with step ("25..450:25", step defaulting
-// to 25). Values are megabytes.
-func ParseSizes(spec string) ([]int, error) {
-	if spec == "" {
-		return nil, fmt.Errorf("harness: empty size spec")
-	}
-	if lo, rest, ok := strings.Cut(spec, ".."); ok {
-		hi, stepStr, _ := strings.Cut(rest, ":")
-		step := 25
-		var err error
-		if stepStr != "" {
-			if step, err = strconv.Atoi(stepStr); err != nil || step <= 0 {
-				return nil, fmt.Errorf("harness: bad size step %q", stepStr)
-			}
-		}
-		a, err := strconv.Atoi(lo)
-		if err != nil {
-			return nil, fmt.Errorf("harness: bad size %q", lo)
-		}
-		b, err := strconv.Atoi(hi)
-		if err != nil {
-			return nil, fmt.Errorf("harness: bad size %q", hi)
-		}
-		if a <= 0 || b < a {
-			return nil, fmt.Errorf("harness: bad size range %d..%d", a, b)
-		}
-		var out []int
-		for mb := a; mb <= b; mb += step {
-			out = append(out, mb)
-		}
-		return out, nil
-	}
-	var out []int
-	for _, f := range strings.Split(spec, ",") {
-		mb, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil || mb <= 0 {
-			return nil, fmt.Errorf("harness: bad size %q", f)
-		}
-		out = append(out, mb)
-	}
-	return out, nil
-}
-
-// ParseServers parses a comma list of server names.
-func ParseServers(spec string) ([]nfssim.ServerKind, error) {
-	var out []nfssim.ServerKind
-	for _, f := range strings.Split(spec, ",") {
-		k, err := ServerByName(strings.TrimSpace(f))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, k)
-	}
-	return out, nil
-}
-
-// ParseConfigs parses a comma list of canonical configuration names.
-func ParseConfigs(spec string) ([]ClientConfig, error) {
-	var out []ClientConfig
-	for _, f := range strings.Split(spec, ",") {
-		c, err := ConfigByName(strings.TrimSpace(f))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, c)
-	}
-	return out, nil
-}
-
-// ParseTransports parses a comma list of transport names ("udp,tcp").
-func ParseTransports(spec string) ([]rpcsim.TransportKind, error) {
-	var out []rpcsim.TransportKind
-	for _, f := range strings.Split(spec, ",") {
-		k, err := rpcsim.ParseTransport(strings.TrimSpace(f))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, k)
-	}
-	return out, nil
-}
-
-// ParseLossRates parses a comma list of per-fragment drop probabilities
-// ("0,0.01,0.05"), each in [0, 1).
-func ParseLossRates(spec string) ([]float64, error) {
-	var out []float64
-	for _, f := range strings.Split(spec, ",") {
-		v, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
-		if err != nil || v < 0 || v >= 1 {
-			return nil, fmt.Errorf("harness: bad loss rate %q (want a probability in [0, 1))", f)
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
-// ParseWorkloads parses a comma list of workload names
-// ("write,rewrite,read,mixed").
-func ParseWorkloads(spec string) ([]bonnie.Workload, error) {
-	var out []bonnie.Workload
-	for _, f := range strings.Split(spec, ",") {
-		w, err := bonnie.ParseWorkload(strings.TrimSpace(f))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, w)
-	}
-	return out, nil
-}
-
-// ParseFileCounts parses a comma list of zipf file populations
-// ("100,1000"), each positive.
-func ParseFileCounts(spec string) ([]int, error) {
-	var out []int
-	for _, f := range strings.Split(spec, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil || n <= 0 {
-			return nil, fmt.Errorf("harness: bad file count %q", f)
-		}
-		out = append(out, n)
-	}
-	return out, nil
-}
-
-// ParseZipfSs parses a comma list of Zipf skew exponents
-// ("0.8,1.2,uniform"); "uniform" (or bonnie.ZipfUniform's -1) selects
-// uniform file choice.
-func ParseZipfSs(spec string) ([]float64, error) {
-	var out []float64
-	for _, f := range strings.Split(spec, ",") {
-		f = strings.TrimSpace(f)
-		if f == "uniform" {
-			out = append(out, bonnie.ZipfUniform)
-			continue
-		}
-		v, err := strconv.ParseFloat(f, 64)
-		if err != nil || (v < 0 && v != bonnie.ZipfUniform) {
-			return nil, fmt.Errorf("harness: bad zipf exponent %q (want a non-negative number or \"uniform\")", f)
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
-// ParseAcTimeouts parses a comma list of attribute-cache windows
-// ("off,3s,60s"); "off" disables the cache (mount -o noac), "default"
-// (or 0) keeps the client's adaptive acregmin/acregmax aging.
-func ParseAcTimeouts(spec string) ([]sim.Time, error) {
-	var out []sim.Time
-	for _, f := range strings.Split(spec, ",") {
-		f = strings.TrimSpace(f)
-		switch f {
-		case "off":
-			out = append(out, core.AcOff)
-			continue
-		case "default", "0":
-			out = append(out, 0)
-			continue
-		}
-		d, err := time.ParseDuration(f)
-		if err != nil || d < 0 {
-			return nil, fmt.Errorf("harness: bad attribute-cache timeout %q (want a duration, \"off\", or \"default\")", f)
-		}
-		out = append(out, d)
-	}
-	return out, nil
-}
-
-// ParseSharings parses a comma list of shared-workload writer
-// percentages ("25,50,75"); "default" (or 0) keeps bonnie's
-// DefaultSharedWriterPct.
-func ParseSharings(spec string) ([]int, error) {
-	var out []int
-	for _, f := range strings.Split(spec, ",") {
-		f = strings.TrimSpace(f)
-		if f == "default" || f == "0" {
-			out = append(out, 0)
-			continue
-		}
-		n, err := strconv.Atoi(f)
-		if err != nil || n < 1 || n > 100 {
-			return nil, fmt.Errorf("harness: bad writer percentage %q (want 1-100 or \"default\")", f)
-		}
-		out = append(out, n)
-	}
-	return out, nil
-}
-
-// ParseConsistencies parses a comma list of cache-consistency modes
-// ("ttl,strict,noac").
-func ParseConsistencies(spec string) ([]core.ConsistencyMode, error) {
-	var out []core.ConsistencyMode
-	for _, f := range strings.Split(spec, ",") {
-		m, ok := core.ParseConsistency(strings.TrimSpace(f))
-		if !ok {
-			return nil, fmt.Errorf("harness: unknown consistency mode %q (have ttl, strict, noac)", f)
-		}
-		out = append(out, m)
-	}
-	return out, nil
 }
 
 // appearanceOrder deduplicates keys preserving first appearance, so

@@ -246,44 +246,45 @@ func TestParseSizes(t *testing.T) {
 		{"5,40,100", []int{5, 40, 100}},
 		{"40", []int{40}},
 	} {
-		got, err := ParseSizes(tc.spec)
+		g, err := parseAxis("sizes", tc.spec)
 		if err != nil {
-			t.Fatalf("ParseSizes(%q): %v", tc.spec, err)
+			t.Fatalf("-sizes %q: %v", tc.spec, err)
 		}
-		if !reflect.DeepEqual(got, tc.want) {
-			t.Fatalf("ParseSizes(%q) = %v, want %v", tc.spec, got, tc.want)
+		if !reflect.DeepEqual(g.FileSizesMB, tc.want) {
+			t.Fatalf("-sizes %q = %v, want %v", tc.spec, g.FileSizesMB, tc.want)
 		}
 	}
 	for _, bad := range []string{"", "0", "-5", "a..b", "10..5", "10..20:0", "x"} {
-		if _, err := ParseSizes(bad); err == nil {
-			t.Fatalf("ParseSizes(%q) should fail", bad)
+		if _, err := parseAxis("sizes", bad); err == nil {
+			t.Fatalf("-sizes %q should fail", bad)
 		}
 	}
 }
 
 func TestParseServersAndConfigs(t *testing.T) {
-	srvs, err := ParseServers("filer, linux,slow100,local")
+	g, err := parseAxis("servers", "filer, linux,slow100,local")
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := []nfssim.ServerKind{nfssim.ServerFiler, nfssim.ServerLinux, nfssim.ServerSlow100, nfssim.ServerNone}
-	if !reflect.DeepEqual(srvs, want) {
-		t.Fatalf("servers = %v", srvs)
+	if !reflect.DeepEqual(g.Servers, want) {
+		t.Fatalf("servers = %v", g.Servers)
 	}
-	if _, err := ParseServers("netapp"); err == nil {
+	if _, err := parseAxis("servers", "netapp"); err == nil {
 		t.Fatal("bad server name should fail")
 	}
-	cfgs, err := ParseConfigs("stock,enhanced")
+	g, err = parseAxis("configs", "stock,enhanced")
 	if err != nil {
 		t.Fatal(err)
 	}
+	cfgs := g.Configs
 	if len(cfgs) != 2 || cfgs[0].Name != "stock" || cfgs[1].Name != "enhanced" {
 		t.Fatalf("configs = %v", cfgs)
 	}
 	if cfgs[1].Config.IndexPolicy != core.IndexHashTable {
 		t.Fatal("enhanced config not resolved")
 	}
-	if _, err := ParseConfigs("turbo"); err == nil {
+	if _, err := parseAxis("configs", "turbo"); err == nil {
 		t.Fatal("bad config name should fail")
 	}
 }

@@ -1,5 +1,6 @@
 // Package keyfmt freezes the byte encoding of floats in scenario keys
-// and CSV emitters.
+// (Key methods and the key-segment formatters of table rows) and CSV
+// emitters.
 //
 // Scenario.Key() is the identity under which runs are grouped, diffed
 // against golden files, and compared across -workers counts; the CSV
@@ -23,9 +24,11 @@ import (
 	"repro/internal/lint/analysis"
 )
 
-// Analyzer flags default %v/%g float formatting inside Key() methods
-// and CSV-emitting functions (any function whose name contains "csv").
-// Suppress a deliberate case with "//lint:allow keyfmt".
+// Analyzer flags default %v/%g float formatting inside Key() methods,
+// CSV-emitting functions (any function whose name contains "csv"), and
+// function literals stored in a composite-literal field whose name
+// contains "key" (the key-segment formatters of a table row). Suppress a
+// deliberate case with "//lint:allow keyfmt".
 var Analyzer = &analysis.Analyzer{
 	Name: "keyfmt",
 	Doc: "forbid default %v/%g float formatting in Scenario.Key and CSV " +
@@ -54,30 +57,42 @@ func run(pass *analysis.Pass) (any, error) {
 		if analysis.IsTestFile(pass.Fset, f) {
 			continue
 		}
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil || !inScope(fd) {
-				continue
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncDecl:
+				if n.Body != nil && inScope(n) {
+					checkBody(pass, n.Body)
+					return false
+				}
+			case *ast.KeyValueExpr:
+				if lit, ok := n.Value.(*ast.FuncLit); ok && isSegmentField(n.Key) {
+					checkBody(pass, lit.Body)
+					return false
+				}
 			}
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				fn := analysis.Callee(pass.TypesInfo, call)
-				if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "fmt" {
-					return true
-				}
-				if idx, ok := formatted[fn.Name()]; ok {
-					checkFormatted(pass, call, idx)
-				} else if idx, ok := unformatted[fn.Name()]; ok {
-					checkUnformatted(pass, fn.Name(), call, idx)
-				}
-				return true
-			})
-		}
+			return true
+		})
 	}
 	return nil, nil
+}
+
+func checkBody(pass *analysis.Pass, body *ast.BlockStmt) {
+	ast.Inspect(body, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		fn := analysis.Callee(pass.TypesInfo, call)
+		if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "fmt" {
+			return true
+		}
+		if idx, ok := formatted[fn.Name()]; ok {
+			checkFormatted(pass, call, idx)
+		} else if idx, ok := unformatted[fn.Name()]; ok {
+			checkUnformatted(pass, fn.Name(), call, idx)
+		}
+		return true
+	})
 }
 
 // inScope reports whether fd's output bytes are frozen: Key methods and
@@ -85,6 +100,14 @@ func run(pass *analysis.Pass) (any, error) {
 func inScope(fd *ast.FuncDecl) bool {
 	return (fd.Name.Name == "Key" && fd.Recv != nil) ||
 		strings.Contains(strings.ToLower(fd.Name.Name), "csv")
+}
+
+// isSegmentField reports whether a composite-literal key names a field
+// that holds a key-segment formatter: the shape of a table row
+// ("key: func(v T) string { ... }") whose output Key concatenates.
+func isSegmentField(k ast.Expr) bool {
+	id, ok := k.(*ast.Ident)
+	return ok && strings.Contains(strings.ToLower(id.Name), "key")
 }
 
 func isFloat(pass *analysis.Pass, e ast.Expr) bool {
