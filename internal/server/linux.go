@@ -52,7 +52,7 @@ type LinuxServer struct {
 	// queue is the FIFO of acked-but-unstable page-cache ranges awaiting
 	// writeback; its byte total always equals dirty. A crash discards it —
 	// that is exactly the data knfsd loses.
-	queue []unstableEntry
+	queue sim.FIFO[unstableEntry]
 	// stable is the per-file byte coverage confirmed on disk.
 	stable map[nfsproto.FileHandle]*rangeset.Set
 
@@ -128,8 +128,8 @@ func (l *LinuxServer) writeback(p *sim.Proc) {
 // per-file stable coverage, splitting the front entry when a writeback
 // chunk ends inside it.
 func (l *LinuxServer) markStable(n int64) {
-	for n > 0 && len(l.queue) > 0 {
-		e := &l.queue[0]
+	for n > 0 && l.queue.Len() > 0 {
+		e := l.queue.Front()
 		take := e.n
 		if take > n {
 			take = n
@@ -139,7 +139,7 @@ func (l *LinuxServer) markStable(n int64) {
 		e.n -= take
 		n -= take
 		if e.n == 0 {
-			l.queue = l.queue[1:]
+			l.queue.Pop()
 		}
 	}
 }
@@ -151,10 +151,9 @@ func (l *LinuxServer) markStable(n int64) {
 func (l *LinuxServer) Crash() {
 	l.gen++
 	l.Crashes++
-	for _, e := range l.queue {
-		l.Lost += e.n
+	for l.queue.Len() > 0 {
+		l.Lost += l.queue.Pop().n
 	}
-	l.queue = nil
 	l.dirty = 0
 	l.dirtyWait.Broadcast()
 	l.cleanWait.Broadcast()
@@ -175,7 +174,7 @@ func (l *LinuxServer) HandleWrite(p *sim.Proc, args *nfsproto.WriteArgs) *nfspro
 		l.dirtyWait.Wait(p)
 	}
 	l.dirty += n
-	l.queue = append(l.queue, unstableEntry{fh: args.File, off: int64(args.Offset), n: n})
+	l.queue.Push(unstableEntry{fh: args.File, off: int64(args.Offset), n: n})
 	l.drainWork.Signal()
 
 	committed := nfsproto.Unstable

@@ -98,7 +98,7 @@ type Server struct {
 	cfg     Config
 	backend Backend
 
-	rxq    []rxItem
+	rxq    sim.FIFO[rxItem]
 	rxWait *sim.WaitQueue
 
 	// down marks the server crashed; requests are dropped at the NIC. gen
@@ -170,7 +170,7 @@ func New(s *sim.Sim, net *netsim.Network, link netsim.LinkConfig, cfg Config, ba
 				srv.DroppedWhileDown++
 				return
 			}
-			srv.rxq = append(srv.rxq, rxItem{
+			srv.rxq.Push(rxItem{
 				from:    dg.From,
 				payload: dg.Payload,
 				frags:   netsim.FragmentCount(len(dg.Payload), cfg.MTU),
@@ -194,7 +194,7 @@ func (srv *Server) conn(from string) *streamsim.Endpoint {
 		scfg := streamsim.DefaultConfig(srv.cfg.MTU)
 		ep = streamsim.NewEndpoint(srv.s, srv.net, scfg, srv.cfg.Host, from,
 			func(rec []byte) {
-				srv.rxq = append(srv.rxq, rxItem{
+				srv.rxq.Push(rxItem{
 					from:    from,
 					payload: rec,
 					frags:   streamsim.SegmentCount(len(rec)+4, scfg.MSS),
@@ -222,8 +222,8 @@ func (srv *Server) Crash() {
 	srv.down = true
 	srv.gen++
 	srv.Crashes++
-	srv.DroppedWhileDown += int64(len(srv.rxq))
-	srv.rxq = nil
+	srv.DroppedWhileDown += int64(srv.rxq.Len())
+	srv.rxq.Clear()
 	if cr, ok := srv.backend.(CrashRestarter); ok {
 		cr.Crash()
 	}
@@ -287,11 +287,10 @@ func (srv *Server) NetworkThroughputMBps() float64 {
 
 func (srv *Server) worker(p *sim.Proc) {
 	for {
-		for len(srv.rxq) == 0 {
+		for srv.rxq.Len() == 0 {
 			srv.rxWait.Wait(p)
 		}
-		item := srv.rxq[0]
-		srv.rxq = srv.rxq[1:]
+		item := srv.rxq.Pop()
 
 		srv.BusyWorkers++
 		if srv.BusyWorkers > srv.MaxBusy {

@@ -57,31 +57,51 @@ func (c *CPUPool) Use(p *Proc, label string, d Time) {
 // nfs_find_request / nfs_update_request (§3.4) and the lock section
 // (§3.5) among the kernel's top CPU consumers.
 type Profiler struct {
-	byLabel map[string]Time
-	calls   map[string]int
+	byLabel map[string]*profileCount
+}
+
+// profileCount is one label's accumulator; the map holds pointers so
+// Add costs a single lookup.
+type profileCount struct {
+	total Time
+	calls int
 }
 
 // NewProfiler returns an empty profiler.
 func NewProfiler() *Profiler {
-	return &Profiler{byLabel: make(map[string]Time), calls: make(map[string]int)}
+	return &Profiler{byLabel: make(map[string]*profileCount)}
 }
 
 // Add records d of CPU time against label.
 func (pr *Profiler) Add(label string, d Time) {
-	pr.byLabel[label] += d
-	pr.calls[label]++
+	c := pr.byLabel[label]
+	if c == nil {
+		c = &profileCount{}
+		pr.byLabel[label] = c
+	}
+	c.total += d
+	c.calls++
 }
 
 // Total returns the accumulated CPU time for label.
-func (pr *Profiler) Total(label string) Time { return pr.byLabel[label] }
+func (pr *Profiler) Total(label string) Time {
+	if c := pr.byLabel[label]; c != nil {
+		return c.total
+	}
+	return 0
+}
 
 // Calls returns how many times label was recorded.
-func (pr *Profiler) Calls(label string) int { return pr.calls[label] }
+func (pr *Profiler) Calls(label string) int {
+	if c := pr.byLabel[label]; c != nil {
+		return c.calls
+	}
+	return 0
+}
 
 // Reset clears all accumulated data.
 func (pr *Profiler) Reset() {
-	pr.byLabel = make(map[string]Time)
-	pr.calls = make(map[string]int)
+	pr.byLabel = make(map[string]*profileCount)
 }
 
 // ProfileEntry is one row of a profile report.
@@ -94,8 +114,8 @@ type ProfileEntry struct {
 // Top returns the n largest CPU consumers, descending; n <= 0 means all.
 func (pr *Profiler) Top(n int) []ProfileEntry {
 	out := make([]ProfileEntry, 0, len(pr.byLabel))
-	for l, t := range pr.byLabel {
-		out = append(out, ProfileEntry{Label: l, Total: t, Calls: pr.calls[l]})
+	for l, c := range pr.byLabel {
+		out = append(out, ProfileEntry{Label: l, Total: c.total, Calls: c.calls})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Total != out[j].Total {

@@ -2,6 +2,7 @@ package sim_test
 
 import (
 	"container/heap"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -121,115 +122,200 @@ func (h *refHeap) Pop() any {
 	return e
 }
 
-// TestRandomizedScheduleMatchesReferenceHeap drives the kernel with a
-// pseudo-random schedule — every fired event may spawn children at
-// random future offsets and cancel a pending sibling — and replays the
-// same decision stream through the container/heap reference. The firing
-// sequences must match exactly.
-func TestRandomizedScheduleMatchesReferenceHeap(t *testing.T) {
-	for _, seed := range []int64{1, 7, 42, 1234} {
-		const initial = 40
-		const maxID = 400
+// schedStep is what one fired event does: schedule children in order
+// (delays in microseconds, each with a role its own step may depend on)
+// and cancel one event by id (-1 for none).
+type schedStep struct {
+	children []schedChild
+	cancel   int
+}
 
-		// decisions(id) derives an event's behaviour purely from its id,
-		// so the sim run and the reference replay make identical choices.
-		type decision struct {
-			children []int64 // child delays in microseconds
-			cancel   int     // id of the event to cancel, -1 for none
-		}
-		decisions := func(id int) decision {
-			rng := rand.New(rand.NewSource(seed*1_000_003 + int64(id)))
-			var d decision
-			for i, n := 0, rng.Intn(3); i < n; i++ {
-				d.children = append(d.children, int64(rng.Intn(7))) // 0 delays exercise same-timestamp ties
-			}
-			d.cancel = -1
-			if rng.Intn(4) == 0 {
-				d.cancel = rng.Intn(maxID)
-			}
-			return d
-		}
+type schedChild struct {
+	delay int64
+	role  int
+}
 
-		// Simulation run.
-		s := sim.New(seed)
-		var simFired []int
-		handles := make(map[int]sim.Event)
-		nextID := 0
-		var schedule func(delay int64) // schedules the next id at now+delay
-		schedule = func(delay int64) {
-			id := nextID
-			nextID++
-			if id >= maxID {
-				return
+// replaySchedule runs a schedule through the kernel and through the
+// container/heap reference. Each event's behaviour comes from
+// step(id, role), a pure function, so both runs make identical choices;
+// ids are assigned in scheduling order and capped at maxID. check, if
+// set, is called on the kernel after every fired event's cancel. It
+// returns both firing sequences.
+func replaySchedule(seed int64, initial []schedChild, maxID int, step func(id, role int) schedStep, check func(s *sim.Sim)) (simFired, refFired []int) {
+	s := sim.New(seed)
+	handles := make(map[int]sim.Event)
+	nextID := 0
+	var schedule func(c schedChild) // schedules the next id at now+delay
+	schedule = func(c schedChild) {
+		id := nextID
+		nextID++
+		if id >= maxID {
+			return
+		}
+		handles[id] = s.At(s.Now()+sim.Time(c.delay)*time.Microsecond, func() {
+			simFired = append(simFired, id)
+			d := step(id, c.role)
+			if h, ok := handles[d.cancel]; ok {
+				h.Cancel()
 			}
-			handles[id] = s.At(s.Now()+sim.Time(delay)*time.Microsecond, func() {
-				simFired = append(simFired, id)
-				d := decisions(id)
-				if d.cancel >= 0 {
-					if h, ok := handles[d.cancel]; ok {
-						h.Cancel()
-					}
-				}
-				for _, cd := range d.children {
-					schedule(cd)
-				}
-			})
-		}
-		rng := rand.New(rand.NewSource(seed))
-		for i := 0; i < initial; i++ {
-			schedule(int64(rng.Intn(10)))
-		}
-		s.Run(0)
+			if check != nil {
+				check(s)
+			}
+			for _, cc := range d.children {
+				schedule(cc)
+			}
+		})
+	}
+	for _, c := range initial {
+		schedule(c)
+	}
+	s.Run(0)
 
-		// Reference replay with the identical decision stream.
-		var h refHeap
-		byID := make(map[int]*refEvent)
-		var refFired []int
-		refNext := 0
-		seq := 0
-		var now int64
-		push := func(delay int64) {
-			id := refNext
-			refNext++
-			if id >= maxID {
-				return
-			}
-			e := &refEvent{at: now + delay, seq: seq, id: id}
-			seq++
-			byID[id] = e
-			heap.Push(&h, e)
+	var h refHeap
+	byID := make(map[int]*refEvent)
+	role := make(map[int]int)
+	refNext, seq := 0, 0
+	var now int64
+	push := func(c schedChild) {
+		id := refNext
+		refNext++
+		if id >= maxID {
+			return
 		}
-		rng = rand.New(rand.NewSource(seed))
-		for i := 0; i < initial; i++ {
-			push(int64(rng.Intn(10)))
+		e := &refEvent{at: now + c.delay, seq: seq, id: id}
+		seq++
+		byID[id] = e
+		role[id] = c.role
+		heap.Push(&h, e)
+	}
+	for _, c := range initial {
+		push(c)
+	}
+	for h.Len() > 0 {
+		e := heap.Pop(&h).(*refEvent)
+		if e.dead {
+			continue
 		}
-		for h.Len() > 0 {
-			e := heap.Pop(&h).(*refEvent)
-			if e.dead {
-				continue
-			}
-			now = e.at
-			refFired = append(refFired, e.id)
-			d := decisions(e.id)
-			if d.cancel >= 0 {
-				if victim, ok := byID[d.cancel]; ok {
-					victim.dead = true
-				}
-			}
-			for _, cd := range d.children {
-				push(cd)
-			}
+		now = e.at
+		refFired = append(refFired, e.id)
+		d := step(e.id, role[e.id])
+		if victim, ok := byID[d.cancel]; ok {
+			victim.dead = true
 		}
-
-		if !reflect.DeepEqual(simFired, refFired) {
-			i := 0
-			for i < len(simFired) && i < len(refFired) && simFired[i] == refFired[i] {
-				i++
-			}
-			t.Fatalf("seed %d: firing order diverges from the reference heap at position %d (sim %v..., ref %v...)",
-				seed, i, tailof(simFired, i), tailof(refFired, i))
+		for _, c := range d.children {
+			push(c)
 		}
 	}
+	return simFired, refFired
+}
+
+func requireSameOrder(t *testing.T, simFired, refFired []int) {
+	t.Helper()
+	if !reflect.DeepEqual(simFired, refFired) {
+		i := 0
+		for i < len(simFired) && i < len(refFired) && simFired[i] == refFired[i] {
+			i++
+		}
+		t.Fatalf("firing order diverges from the reference heap at position %d (sim %v..., ref %v...)",
+			i, tailof(simFired, i), tailof(refFired, i))
+	}
+}
+
+// TestRandomizedScheduleMatchesReferenceHeap replays pseudo-random
+// schedules through the kernel and the container/heap reference; the
+// firing sequences must match exactly.
+//
+// "random": every fired event may spawn children at random future
+// offsets and cancel a random pending event.
+//
+// "cancel-heavy" is the retransmit-timer shape: every call arms a long
+// timer, and its reply, due much sooner, cancels it 95% of the time, so
+// canceled timers pile up far faster than they expire and compaction
+// runs many times. The heap must also stay within 2×live + the
+// compaction floor throughout.
+func TestRandomizedScheduleMatchesReferenceHeap(t *testing.T) {
+	for _, seed := range []int64{1, 7, 42, 1234} {
+		t.Run(fmt.Sprintf("random/seed=%d", seed), func(t *testing.T) {
+			const maxID = 400
+			step := func(id, _ int) schedStep {
+				rng := rand.New(rand.NewSource(seed*1_000_003 + int64(id)))
+				var d schedStep
+				for i, n := 0, rng.Intn(3); i < n; i++ {
+					d.children = append(d.children, schedChild{delay: int64(rng.Intn(7))}) // 0 delays exercise same-timestamp ties
+				}
+				d.cancel = -1
+				if rng.Intn(4) == 0 {
+					d.cancel = rng.Intn(maxID)
+				}
+				return d
+			}
+			rng := rand.New(rand.NewSource(seed))
+			initial := make([]schedChild, 40)
+			for i := range initial {
+				initial[i].delay = int64(rng.Intn(10))
+			}
+			simFired, refFired := replaySchedule(seed, initial, maxID, step, nil)
+			requireSameOrder(t, simFired, refFired)
+		})
+	}
+	for _, seed := range []int64{1, 7, 42} {
+		t.Run(fmt.Sprintf("cancel-heavy/seed=%d", seed), func(t *testing.T) {
+			const (
+				call = iota
+				timer
+				reply
+			)
+			const maxID = 30000
+			timers, canceled := 0, 0
+			step := func(id, role int) schedStep {
+				h := mix(uint64(seed)<<32 | uint64(id))
+				d := schedStep{cancel: -1}
+				switch role {
+				case call: // arm the timer (id+1), then send: the reply is id+2
+					d.children = []schedChild{
+						{delay: 2000 + int64(h%1000), role: timer},
+						{delay: 1 + int64(h>>10%40), role: reply},
+					}
+					timers++
+				case reply:
+					if h%20 != 0 {
+						d.cancel = id - 1
+						canceled++
+					}
+					d.children = []schedChild{{delay: int64(h >> 20 % 3), role: call}}
+				}
+				return d
+			}
+			compactions, lastDead := 0, 0
+			check := func(s *sim.Sim) {
+				entries, dead := sim.HeapStats(s)
+				if dead < lastDead-1 {
+					compactions++
+				}
+				lastDead = dead
+				if live := entries - dead; entries > 2*live+sim.CompactFloor {
+					t.Fatalf("heap holds %d entries for %d live events", entries, live)
+				}
+			}
+			simFired, refFired := replaySchedule(seed, make([]schedChild, 50), maxID, step, check)
+			requireSameOrder(t, simFired, refFired)
+			if canceled < timers*9/10 {
+				t.Fatalf("only %d of %d timers canceled", canceled, timers)
+			}
+			if compactions < 20 {
+				t.Fatalf("only %d compactions", compactions)
+			}
+		})
+	}
+}
+
+// mix is the splitmix64 finalizer: a cheap, well-spread hash.
+func mix(x uint64) uint64 {
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	return x ^ x>>31
 }
 
 func tailof(xs []int, i int) []int {

@@ -3,22 +3,23 @@
 // The reproduction models the Linux 2.4.4 kernel's NFS client write path as
 // a set of cooperating processes (application writer threads, nfs_flushd,
 // network softirq handlers, server daemons) that execute on a virtual clock.
-// Exactly one process runs at a time; control is handed between goroutines
-// through a single "baton" so a given seed and workload always produce
-// bit-identical schedules. This is what lets us reproduce the paper's
-// queueing and lock-contention phenomena without the run-to-run variance
-// the authors complain about in §2.2.
+// Exactly one process runs at a time; each is a coroutine that only Run
+// resumes, so a given seed and workload always produce bit-identical
+// schedules. This is what lets us reproduce the paper's queueing and
+// lock-contention phenomena without the run-to-run variance the authors
+// complain about in §2.2.
 //
 // The kernel is built for thousand-client fleets (DESIGN.md §12): events
 // live in a pooled 4-ary heap keyed on (time, sequence) so same-timestamp
 // events fire in scheduling order, process wakeups are heap entries rather
-// than closures, and the event loop itself migrates to whichever process
-// goroutine parks — a process whose own wakeup is the next event resumes
-// without touching a channel at all.
+// than closures, canceled events are compacted out once they make up half
+// the heap, and a parking process runs the event loop itself — one whose
+// own wakeup is the next event resumes without a coroutine switch at all.
 package sim
 
 import (
 	"fmt"
+	"iter"
 	"math/rand"
 	"time"
 )
@@ -36,13 +37,16 @@ type event struct {
 	seq  uint64
 	gen  uint32
 	dead bool  // canceled
+	s    *Sim  // owner, set once when the pool block is allocated
 	proc *Proc // wakeup target; nil for callback events
 	fn   func()
 }
 
 // Event is a handle to a scheduled callback; it can be canceled before it
 // fires (used for retransmit timers). The zero value is a valid no-op
-// handle.
+// handle. The owning Sim lives in the pooled event rather than here: it
+// is written once per pool block instead of once per scheduling, and
+// handles stay two words.
 type Event struct {
 	ev  *event
 	gen uint32
@@ -52,9 +56,13 @@ type Event struct {
 // already-canceled event is a no-op (the underlying entry has been
 // recycled under a new generation by then).
 func (e Event) Cancel() {
-	if e.ev != nil && e.ev.gen == e.gen {
-		e.ev.dead = true
+	ev := e.ev
+	if ev == nil || ev.gen != e.gen || ev.dead {
+		return
 	}
+	ev.dead = true
+	ev.s.dead++
+	ev.s.compactIfSparse()
 }
 
 // eventQueue is a 4-ary min-heap on (at, seq). Four-way fanout halves the
@@ -93,59 +101,66 @@ func (q *eventQueue) pop() *event {
 	h[n] = nil
 	h = h[:n]
 	*q = h
-	if n == 0 {
-		return top
+	if n > 0 {
+		h.siftDown(0, last)
 	}
-	i := 0
+	return top
+}
+
+// siftDown places ev in the hole at i and walks it down past every
+// smaller child.
+func (h eventQueue) siftDown(i int, ev *event) {
+	n := len(h)
 	for {
 		c := i<<2 + 1
 		if c >= n {
 			break
 		}
-		min := h[c]
-		end := c + 4
-		if end > n {
-			end = n
-		}
+		least := h[c]
+		end := min(c+4, n)
 		for j := c + 1; j < end; j++ {
-			if eventLess(h[j], min) {
-				min = h[j]
+			if eventLess(h[j], least) {
+				least = h[j]
 				c = j
 			}
 		}
-		// c now indexes the smallest child; walk last down past it.
-		if !eventLess(min, last) {
+		if !eventLess(least, ev) {
 			break
 		}
-		h[i] = min
+		h[i] = least
 		i = c
 	}
-	h[i] = last
-	return top
+	h[i] = ev
 }
 
 // eventBlock is how many events one pool refill allocates: a single
 // backing array keeps pooled events cache-adjacent.
 const eventBlock = 128
 
+// compactFloor is how many canceled events the heap may hold before
+// compaction is considered at all, so small queues never pay for it.
+const compactFloor = 64
+
 // Sim is a discrete-event simulation instance. It is not safe for use from
-// multiple OS threads; all interaction happens from the goroutine that
-// currently holds the scheduling baton (the Run caller or a process the
-// kernel handed control to).
+// multiple OS threads; all interaction happens from the Run caller or from
+// the process Run has resumed.
 type Sim struct {
 	now    Time
 	seq    uint64
 	seed   int64
 	events eventQueue
+	dead   int      // canceled events still in the heap
 	pool   []*event // recycled event entries
 	limit  Time     // current Run's time limit (0 = none)
 	rng    *rand.Rand
 	prof   *Profiler
 	fail   any // panic value captured from a process
 
-	// mainWake returns the baton to the Run caller when the queue drains,
-	// the limit is reached, or a process panics.
-	mainWake chan struct{}
+	// droppedMax is the latest deadline among canceled events that
+	// compaction removed and a lazily-deleting heap would still hold.
+	// One past the Run limit stops the clock at the limit, as the
+	// canceled timer itself did before compaction existed.
+	droppedMax Time
 
 	procSeq int
 	live    int // live (spawned, unterminated) processes
@@ -154,10 +169,9 @@ type Sim struct {
 // New returns a simulator with the given deterministic seed.
 func New(seed int64) *Sim {
 	return &Sim{
-		mainWake: make(chan struct{}),
-		seed:     seed,
-		rng:      rand.New(rand.NewSource(seed)),
-		prof:     NewProfiler(),
+		seed: seed,
+		rng:  rand.New(rand.NewSource(seed)),
+		prof: NewProfiler(),
 	}
 }
 
@@ -181,6 +195,7 @@ func (s *Sim) alloc() *event {
 	if len(s.pool) == 0 {
 		block := make([]event, eventBlock)
 		for i := range block {
+			block[i].s = s
 			s.pool = append(s.pool, &block[i])
 		}
 	}
@@ -197,6 +212,39 @@ func (s *Sim) recycle(ev *event) {
 	ev.proc = nil
 	ev.fn = nil
 	s.pool = append(s.pool, ev)
+}
+
+// compactIfSparse compacts the heap once canceled events make up more
+// than half of it. Each compaction removes more entries than it keeps,
+// and every removed entry paid for itself with one Cancel, so the cost
+// is amortized O(1) per Cancel and the heap stays within 2×live + the
+// floor.
+func (s *Sim) compactIfSparse() {
+	if s.dead > compactFloor && 2*s.dead > len(s.events) {
+		s.compact()
+	}
+}
+
+// compact drops every canceled event and re-heapifies the rest. Live
+// events keep their (at, seq) keys, and that order is total, so firing
+// order is the same as if the dead entries had been popped one by one.
+func (s *Sim) compact() {
+	h := s.events
+	kept := h[:0]
+	for _, ev := range h {
+		if !ev.dead {
+			kept = append(kept, ev)
+			continue
+		}
+		s.droppedMax = max(s.droppedMax, ev.at)
+		s.recycle(ev)
+	}
+	clear(h[len(kept):])
+	for i := (len(kept) - 2) >> 2; i >= 0; i-- {
+		kept.siftDown(i, kept[i])
+	}
+	s.events = kept
+	s.dead = 0
 }
 
 // At schedules fn to run at absolute virtual time t (clamped to now).
@@ -227,10 +275,9 @@ func (s *Sim) wake(t Time, p *Proc) {
 }
 
 // schedule runs the event loop on the calling goroutine: it pops and
-// executes events until control must transfer to a process goroutine
-// (returning that process), or until the queue drains, the limit is
-// reached, or a process has panicked (returning nil, meaning the baton
-// goes back to the Run caller).
+// executes events until control must transfer to a process (returning
+// that process), or until the queue drains or the limit is reached
+// (returning nil, meaning control goes back to the Run caller).
 func (s *Sim) schedule() *Proc {
 	for len(s.events) > 0 {
 		next := s.events[0]
@@ -240,71 +287,81 @@ func (s *Sim) schedule() *Proc {
 		}
 		s.events.pop()
 		if next.dead {
+			s.dead--
 			s.recycle(next)
 			continue
 		}
 		s.now = next.at
 		p, fn := next.proc, next.fn
 		s.recycle(next)
+		s.compactIfSparse()
 		if p != nil {
-			if p.ended {
-				continue
-			}
 			return p
 		}
 		fn()
-		if s.fail != nil {
-			return nil
-		}
+	}
+	if s.limit > 0 && s.droppedMax > s.limit {
+		s.now = s.limit
+	} else {
+		s.droppedMax = 0
 	}
 	return nil
 }
 
-// handoff passes the baton: to a process goroutine, or back to the Run
-// caller when next is nil.
-func (s *Sim) handoff(next *Proc) {
-	if next != nil {
-		next.resume <- struct{}{}
-	} else {
-		s.mainWake <- struct{}{}
-	}
-}
-
 // Run executes events until the event queue is empty or the virtual clock
 // would pass limit (limit <= 0 means no limit). It returns the final
-// virtual time. Run panics if any process panicked, preserving the value.
+// virtual time. Run is the only place processes are resumed: each
+// resumed process runs until it parks on a wakeup that is not next,
+// and hands back the process to resume instead (nil to stop). Run panics
+// if any process panicked, preserving the value.
 func (s *Sim) Run(limit Time) Time {
 	s.limit = limit
-	for {
-		next := s.schedule()
-		if next == nil {
-			if s.fail != nil {
-				panic(fmt.Sprintf("sim: process panicked at t=%v: %v", s.now, s.fail))
-			}
-			return s.now
+	for p := s.schedule(); p != nil; {
+		next, alive := p.resume()
+		if !alive {
+			next = s.afterExit()
 		}
-		next.resume <- struct{}{}
-		<-s.mainWake
 		if s.fail != nil {
 			panic(fmt.Sprintf("sim: process panicked at t=%v: %v", s.now, s.fail))
 		}
+		p = next
 	}
+	return s.now
 }
 
-// Idle reports whether no events remain.
-func (s *Sim) Idle() bool { return len(s.events) == 0 }
+// afterExit runs the event loop once a process has returned. A callback
+// that panics here is reported as a process panic, like one that panics
+// inside a parked process's inline schedule: whichever process ran last
+// owns the event loop.
+func (s *Sim) afterExit() (next *Proc) {
+	if s.fail != nil {
+		return nil
+	}
+	defer func() {
+		if r := recover(); r != nil {
+			s.fail = r
+			next = nil
+		}
+	}()
+	return s.schedule()
+}
+
+// Idle reports whether no events remain. Canceled events count until
+// the clock passes them, as they did before compaction (see droppedMax).
+func (s *Sim) Idle() bool { return len(s.events) == 0 && s.droppedMax == 0 }
 
 // Live returns the number of spawned processes that have not terminated.
 func (s *Sim) Live() int { return s.live }
 
-// Proc is a simulated thread of control. Every blocking primitive takes the
-// Proc so the scheduler knows which goroutine to park and resume.
+// Proc is a simulated thread of control: a coroutine that Run resumes and
+// that suspends itself in park. Every blocking primitive takes the Proc
+// so the scheduler knows which coroutine to suspend.
 type Proc struct {
 	s      *Sim
 	id     int
 	name   string
-	resume chan struct{}
-	ended  bool
+	resume func() (*Proc, bool) // runs the coroutine to its next park; false once it has returned
+	yield  func(*Proc) bool     // suspends the coroutine, handing Run the process to resume next
 }
 
 // Name returns the process's diagnostic name.
@@ -314,53 +371,34 @@ func (p *Proc) Name() string { return p.name }
 func (p *Proc) Sim() *Sim { return p.s }
 
 // Go spawns a process that begins running at the current virtual time.
+// A panic inside the process ends its coroutine and surfaces from Run.
 func (s *Sim) Go(name string, fn func(p *Proc)) *Proc {
 	s.procSeq++
 	s.live++
-	p := &Proc{s: s, id: s.procSeq, name: name, resume: make(chan struct{})}
-	go func() {
+	p := &Proc{s: s, id: s.procSeq, name: name}
+	p.resume, _ = iter.Pull(func(yield func(*Proc) bool) {
+		p.yield = yield
 		defer func() {
 			if r := recover(); r != nil {
 				s.fail = r
 			}
-			p.ended = true
 			s.live--
-			var next *Proc
-			if s.fail == nil {
-				// Keep driving the event loop from the dying goroutine;
-				// a panic in a callback here must still reach Run.
-				func() {
-					defer func() {
-						if r := recover(); r != nil {
-							s.fail = r
-						}
-					}()
-					next = s.schedule()
-				}()
-				if s.fail != nil {
-					next = nil
-				}
-			}
-			s.handoff(next)
 		}()
-		<-p.resume
 		fn(p)
-	}()
+	})
 	s.wake(s.now, p)
 	return p
 }
 
-// park yields control until something schedules a wakeup for p. The
-// parking goroutine itself runs the event loop: when p's own wakeup is the
-// next transfer of control — the common case for a process sleeping
-// through its service time — it simply returns, with no channel traffic.
+// park suspends p until something schedules a wakeup for it. The parking
+// process runs the event loop itself: when its own wakeup is the next
+// transfer of control — the common case for a process sleeping through
+// its service time — it simply returns without a coroutine switch.
+// Otherwise it yields the next process to Run, which resumes that one.
 func (p *Proc) park() {
-	next := p.s.schedule()
-	if next == p {
-		return
+	if next := p.s.schedule(); next != p {
+		p.yield(next)
 	}
-	p.s.handoff(next)
-	<-p.resume
 }
 
 // Sleep advances the process's virtual time by d without consuming a CPU
@@ -380,17 +418,6 @@ func (p *Proc) Yield() {
 	p.park()
 }
 
-// popWaiter removes and returns the oldest waiter, shifting in place so
-// the backing array is reused instead of re-allocated by later appends.
-func popWaiter(ws *[]*Proc) *Proc {
-	old := *ws
-	next := old[0]
-	n := copy(old, old[1:])
-	old[n] = nil
-	*ws = old[:n]
-	return next
-}
-
 // Mutex is a FIFO-fair sleeping mutex. The simulation's "big kernel lock"
 // is one of these; FIFO ordering matches the 2.4 kernel's lock semantics
 // closely enough for the contention phenomena under study and keeps the
@@ -400,7 +427,7 @@ type Mutex struct {
 	name    string
 	holder  *Proc
 	because string // profiling label the holder supplied
-	waiters []*Proc
+	waiters FIFO[*Proc]
 
 	// Contention statistics, used to reproduce the paper's kernel-profile
 	// observations (§3.5: the lock section is the 4th largest CPU consumer;
@@ -434,7 +461,7 @@ func (m *Mutex) Lock(p *Proc, label string) {
 	m.Contentions++
 	blame := m.because
 	t0 := m.s.now
-	m.waiters = append(m.waiters, p)
+	m.waiters.Push(p)
 	p.park()
 	// Unlock made us the holder before dispatching us.
 	w := m.s.now - t0
@@ -449,12 +476,12 @@ func (m *Mutex) Unlock(p *Proc) {
 		panic(fmt.Sprintf("sim: %s unlocked by %s, held by %v", m.name, p.name, m.holder))
 	}
 	m.TotalHold += m.s.now - m.lockedAt
-	if len(m.waiters) == 0 {
+	if m.waiters.Len() == 0 {
 		m.holder = nil
 		m.because = ""
 		return
 	}
-	next := popWaiter(&m.waiters)
+	next := m.waiters.Pop()
 	m.holder = next
 	m.lockedAt = m.s.now
 	m.s.wake(m.s.now, next)
@@ -494,7 +521,7 @@ type Semaphore struct {
 	name    string
 	free    int
 	cap     int
-	waiters []*Proc
+	waiters FIFO[*Proc]
 }
 
 // NewSemaphore returns a semaphore with the given capacity.
@@ -514,15 +541,14 @@ func (sem *Semaphore) Acquire(p *Proc) {
 		sem.free--
 		return
 	}
-	sem.waiters = append(sem.waiters, p)
+	sem.waiters.Push(p)
 	p.park()
 }
 
 // Release returns one unit, waking the oldest waiter if any.
 func (sem *Semaphore) Release() {
-	if len(sem.waiters) > 0 {
-		next := popWaiter(&sem.waiters)
-		sem.s.wake(sem.s.now, next)
+	if sem.waiters.Len() > 0 {
+		sem.s.wake(sem.s.now, sem.waiters.Pop())
 		return
 	}
 	sem.free++
@@ -537,7 +563,7 @@ func (sem *Semaphore) Release() {
 type WaitQueue struct {
 	s       *Sim
 	name    string
-	waiters []*Proc
+	waiters FIFO[*Proc]
 }
 
 // NewWaitQueue returns a named wait queue.
@@ -547,27 +573,23 @@ func (s *Sim) NewWaitQueue(name string) *WaitQueue {
 
 // Wait parks p until Signal or Broadcast wakes it.
 func (q *WaitQueue) Wait(p *Proc) {
-	q.waiters = append(q.waiters, p)
+	q.waiters.Push(p)
 	p.park()
 }
 
 // Signal wakes the oldest waiter, if any.
 func (q *WaitQueue) Signal() {
-	if len(q.waiters) == 0 {
-		return
+	if q.waiters.Len() > 0 {
+		q.s.wake(q.s.now, q.waiters.Pop())
 	}
-	next := popWaiter(&q.waiters)
-	q.s.wake(q.s.now, next)
 }
 
 // Broadcast wakes every waiter.
 func (q *WaitQueue) Broadcast() {
-	ws := q.waiters
-	q.waiters = nil
-	for _, p := range ws {
-		q.s.wake(q.s.now, p)
+	for q.waiters.Len() > 0 {
+		q.s.wake(q.s.now, q.waiters.Pop())
 	}
 }
 
 // Waiting returns the number of parked processes.
-func (q *WaitQueue) Waiting() int { return len(q.waiters) }
+func (q *WaitQueue) Waiting() int { return q.waiters.Len() }

@@ -115,7 +115,7 @@ type Endpoint struct {
 	// a full MSS once more data was queued) would land mid-boundary and
 	// wedge reassembly.
 	sndBuf   []byte
-	segs     []sndSeg
+	segs     sim.FIFO[sndSeg]
 	sndUna   int64
 	sndNxt   int64
 	rtxTimer sim.Event
@@ -192,7 +192,7 @@ func (e *Endpoint) SendRecord(rec []byte) int {
 		if n > e.cfg.MSS {
 			n = e.cfg.MSS
 		}
-		e.segs = append(e.segs, sndSeg{seq: e.sndNxt, n: n})
+		e.segs.Push(sndSeg{seq: e.sndNxt, n: n})
 		e.sendSegment(e.sndNxt, n, false)
 		e.sndNxt += int64(n)
 		sent++
@@ -272,10 +272,10 @@ func (e *Endpoint) onTimeout() {
 // retransmitFront resends the oldest unacknowledged segment with its
 // original cut.
 func (e *Endpoint) retransmitFront() {
-	if len(e.segs) == 0 {
+	if e.segs.Len() == 0 {
 		return
 	}
-	front := e.segs[0]
+	front := *e.segs.Front()
 	e.sendSegment(front.seq, front.n, true)
 }
 
@@ -335,8 +335,8 @@ func (e *Endpoint) handleAck(ack int64, pure bool) {
 		}
 		e.sndBuf = e.sndBuf[ack-e.sndUna:]
 		e.sndUna = ack
-		for len(e.segs) > 0 && e.segs[0].seq+int64(e.segs[0].n) <= ack {
-			e.segs = e.segs[1:]
+		for e.segs.Len() > 0 && e.segs.Front().seq+int64(e.segs.Front().n) <= ack {
+			e.segs.Pop()
 		}
 		e.dupAcks = 0
 		e.backoff = 0
