@@ -264,9 +264,9 @@ func BenchmarkAblationTransport(b *testing.B) {
 func BenchmarkReadSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r := experiments.ReadSweep()
-		b.ReportMetric(r.Throughput("enhanced", "read"), "enhanced-read-MB/s")
-		b.ReportMetric(r.Throughput("ra-off", "read"), "ra-off-read-MB/s")
-		b.ReportMetric(r.Throughput("enhanced", "mixed"), "enhanced-mixed-MB/s")
+		b.ReportMetric(r.Row("enhanced", "read").WriteMBps, "enhanced-read-MB/s")
+		b.ReportMetric(r.Row("ra-off", "read").WriteMBps, "ra-off-read-MB/s")
+		b.ReportMetric(r.Row("enhanced", "mixed").WriteMBps, "enhanced-mixed-MB/s")
 	}
 }
 
@@ -275,10 +275,10 @@ func BenchmarkReadSweep(b *testing.B) {
 func BenchmarkRandomSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r := experiments.RandomSweep()
-		b.ReportMetric(r.Throughput("hash", "randwrite"), "hash-randwrite-MB/s")
-		b.ReportMetric(r.Throughput("nolimits", "randwrite"), "list-randwrite-MB/s")
-		b.ReportMetric(r.Throughput("stock", "randwrite"), "stock-randwrite-MB/s")
-		b.ReportMetric(r.Throughput("enhanced", "randread"), "enhanced-randread-MB/s")
+		b.ReportMetric(r.Row("hash", "randwrite").WriteMBps, "hash-randwrite-MB/s")
+		b.ReportMetric(r.Row("nolimits", "randwrite").WriteMBps, "list-randwrite-MB/s")
+		b.ReportMetric(r.Row("stock", "randwrite").WriteMBps, "stock-randwrite-MB/s")
+		b.ReportMetric(r.Row("enhanced", "randread").WriteMBps, "enhanced-randread-MB/s")
 	}
 }
 
@@ -289,8 +289,8 @@ func BenchmarkDBLoad(b *testing.B) {
 		r := experiments.DBLoad()
 		for _, srv := range []string{"filer", "linux"} {
 			if row := r.Row(srv, "enhanced"); row != nil {
-				b.ReportMetric(row.TxPerSec, srv+"-tx/s")
-				b.ReportMetric(float64(row.FsyncTime.Milliseconds()), srv+"-fsync-ms")
+				b.ReportMetric(experiments.TxPerSec(*row), srv+"-tx/s")
+				b.ReportMetric(float64(experiments.FsyncTime(*row).Milliseconds()), srv+"-fsync-ms")
 			}
 		}
 	}
@@ -301,14 +301,14 @@ func BenchmarkDBLoad(b *testing.B) {
 func BenchmarkZipfSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r := experiments.ZipfSweep()
-		if on := r.Cell("zipf", "on"); on != nil {
+		if on := r.Row("zipf", "on"); on != nil {
 			b.ReportMetric(on.AggMBps, "ac-on-MB/s")
-			b.ReportMetric(on.HitRate, "ac-hit-rate")
-			b.ReportMetric(float64(on.Getattrs), "ac-on-getattrs")
+			b.ReportMetric(on.AttrCacheHitRate, "ac-hit-rate")
+			b.ReportMetric(float64(on.GetattrRPCs), "ac-on-getattrs")
 		}
-		if off := r.Cell("zipf", "off"); off != nil {
+		if off := r.Row("zipf", "off"); off != nil {
 			b.ReportMetric(off.AggMBps, "noac-MB/s")
-			b.ReportMetric(float64(off.Getattrs), "noac-getattrs")
+			b.ReportMetric(float64(off.GetattrRPCs), "noac-getattrs")
 		}
 	}
 }
@@ -316,15 +316,15 @@ func BenchmarkZipfSweep(b *testing.B) {
 func BenchmarkCoherenceSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r := experiments.CoherenceSweep()
-		if strict := r.Cell("strict"); strict != nil {
+		if strict := r.Row("strict"); strict != nil {
 			b.ReportMetric(strict.AggMBps, "strict-MB/s")
-			b.ReportMetric(float64(strict.Getattrs), "strict-getattrs")
+			b.ReportMetric(float64(strict.GetattrRPCs), "strict-getattrs")
 		}
-		if ttl := r.Cell("ttl"); ttl != nil {
+		if ttl := r.Row("ttl"); ttl != nil {
 			b.ReportMetric(ttl.AggMBps, "ttl-MB/s")
 			b.ReportMetric(float64(ttl.StaleReads), "ttl-stale-reads")
 		}
-		if noac := r.Cell("noac"); noac != nil {
+		if noac := r.Row("noac"); noac != nil {
 			b.ReportMetric(noac.AggMBps, "noac-MB/s")
 			b.ReportMetric(float64(noac.StaleReads), "noac-stale-reads")
 		}
@@ -376,8 +376,8 @@ func BenchmarkFleet1000(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r := experiments.FleetAt([]int{1000}, 1)
 		row := r.Rows[0]
-		b.ReportMetric(row.Aggregate, "agg-MB/s")
+		b.ReportMetric(row.AggMBps, "agg-MB/s")
 		b.ReportMetric(row.Fairness, "fairness")
-		b.ReportMetric(row.SlotWaitShare, "slot-wait-share")
+		b.ReportMetric(experiments.SlotWaitShare(row), "slot-wait-share")
 	}
 }

@@ -12,6 +12,7 @@
 //	nfsbench slow100   §3.5: slower server -> faster memory writes
 //	nfsbench profile   §3.4/§3.5 kernel-profile findings
 //	nfsbench jumbo     §3.5 future work: jumbo-frame ablation
+//	nfsbench concurrent §3.5: two writers to separate files, BKL vs no lock
 //	nfsbench scaling   beyond the paper: N client machines, one server
 //	nfsbench fleet     beyond the paper: 10/100/1000-client fleets
 //	                   (aggregate ingest, fairness, slot convoying)
@@ -30,7 +31,9 @@
 //	                   failure injection via the chaos scenario engine
 //	nfsbench all       everything above, in order
 //
-// Sweeps accept -quick to use a reduced file-size grid.
+// Sweeps accept -quick to use a reduced file-size grid. -workers N sets
+// the worker-pool size for the grid-shaped experiments (0, the default,
+// means one per CPU); output is identical for every value.
 package main
 
 import (
@@ -136,7 +139,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintf(os.Stderr, "usage: nfsbench [-quick] <experiment>\n\nexperiments:\n")
+	fmt.Fprintf(os.Stderr, "usage: nfsbench [-quick] [-workers N] <experiment>\n\nexperiments:\n")
 	for _, r := range runners() {
 		fmt.Fprintf(os.Stderr, "  %-8s %s\n", r.name, r.desc)
 	}

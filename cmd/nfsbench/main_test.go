@@ -54,6 +54,21 @@ func TestUsageListsEveryExperiment(t *testing.T) {
 	}
 }
 
+// The package comment documents every registered experiment, so
+// `go doc` never drifts from the runner table.
+func TestDocListsEveryRunner(t *testing.T) {
+	src, err := os.ReadFile("main.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, _, _ := strings.Cut(string(src), "\npackage main")
+	for _, r := range runners() {
+		if !strings.Contains(doc, "//\tnfsbench "+r.name+" ") {
+			t.Errorf("main.go's package comment has no \"nfsbench %s\" line", r.name)
+		}
+	}
+}
+
 // The zipf runner executes end to end and renders the metadata table
 // with its headline comparisons — a smoke test of the whole experiment
 // path through main's dispatch table.

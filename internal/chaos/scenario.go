@@ -9,11 +9,15 @@ package chaos
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
+	"math"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"time"
+	"unicode/utf8"
 
 	nfssim "repro"
 	"repro/internal/harness"
@@ -117,13 +121,18 @@ func Load(path string) ([]*Scenario, error) {
 	return scs, nil
 }
 
-// Parse parses scenario source (YAML subset or JSON).
+// Parse parses scenario source (YAML subset or JSON), which must be
+// UTF-8: JSON cannot carry other bytes through EncodeJSON.
 func Parse(src []byte) ([]*Scenario, error) {
+	if !utf8.Valid(src) {
+		return nil, fmt.Errorf("scenario source is not valid UTF-8")
+	}
 	trimmed := strings.TrimSpace(string(src))
 	var root any
 	var err error
 	if strings.HasPrefix(trimmed, "{") || strings.HasPrefix(trimmed, "[") {
 		dec := json.NewDecoder(strings.NewReader(trimmed))
+		dec.UseNumber()
 		err = dec.Decode(&root)
 	} else {
 		root, err = parseYAML(src)
@@ -236,7 +245,8 @@ func decodeScenarioList(items []any) ([]*Scenario, error) {
 func decodeScenario(m map[string]any) (*Scenario, error) {
 	sc := &Scenario{}
 	fm := map[string]any{}
-	for key, val := range m {
+	for _, key := range slices.Sorted(maps.Keys(m)) {
+		val := m[key]
 		switch key {
 		case "name":
 			s, err := asString(val)
@@ -299,7 +309,8 @@ func decodeFleet(m map[string]any) (Fleet, error) {
 	var seed int64
 	var limit sim.Time
 	axes := make(map[string]string, len(m))
-	for key, val := range m {
+	for _, key := range slices.Sorted(maps.Keys(m)) {
+		val := m[key]
 		var err error
 		switch key {
 		case "seed":
@@ -339,7 +350,8 @@ func decodeFleet(m map[string]any) (Fleet, error) {
 
 func decodeEvent(m map[string]any) (Event, error) {
 	ev := Event{}
-	for key, val := range m {
+	for _, key := range slices.Sorted(maps.Keys(m)) {
+		val := m[key]
 		var err error
 		switch key {
 		case "at":
@@ -380,7 +392,7 @@ func decodeEvent(m map[string]any) (Event, error) {
 	if !ok {
 		return ev, fmt.Errorf("unknown action %q", ev.Action)
 	}
-	for key := range m {
+	for _, key := range slices.Sorted(maps.Keys(m)) {
 		if key == "at" || key == "action" {
 			continue
 		}
@@ -526,7 +538,8 @@ func resolveHost(host string, kind nfssim.ServerKind) string {
 }
 
 // Typed accessors for the generic parse tree. YAML scalars arrive as
-// strings; JSON numbers arrive as float64.
+// strings; JSON numbers arrive as json.Number, so integers keep every
+// digit.
 
 func asString(v any) (string, error) {
 	s, ok := v.(string)
@@ -542,8 +555,15 @@ func asScalar(v any) (string, error) {
 	switch x := v.(type) {
 	case string:
 		return strings.TrimSpace(x), nil
-	case float64:
-		return strconv.FormatFloat(x, 'f', -1, 64), nil
+	case json.Number:
+		if _, err := x.Int64(); err == nil {
+			return x.String(), nil
+		}
+		f, err := x.Float64()
+		if err != nil {
+			return "", fmt.Errorf("expected a number, got %s", x)
+		}
+		return strconv.FormatFloat(f, 'f', -1, 64), nil
 	default:
 		return "", fmt.Errorf("expected a scalar, got %T", v)
 	}
@@ -566,8 +586,8 @@ func asInt64(v any) (int64, error) {
 func asFloat(v any) (float64, error) {
 	s, err := asScalar(v)
 	f, perr := strconv.ParseFloat(s, 64)
-	if err != nil || perr != nil {
-		return 0, fmt.Errorf("expected a number, got %#v", v)
+	if err != nil || perr != nil || math.IsNaN(f) || math.IsInf(f, 0) {
+		return 0, fmt.Errorf("expected a finite number, got %#v", v)
 	}
 	return f, nil
 }
@@ -580,9 +600,10 @@ func asDuration(v any) (sim.Time, error) {
 			return 0, fmt.Errorf("expected a duration (\"200ms\"), got %q", x)
 		}
 		return d, nil
-	case float64:
+	case json.Number:
 		// JSON numbers are nanoseconds.
-		return sim.Time(x), nil
+		n, err := asInt64(x)
+		return sim.Time(n), err
 	default:
 		return 0, fmt.Errorf("expected a duration, got %T", v)
 	}

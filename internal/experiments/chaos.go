@@ -5,14 +5,14 @@ import (
 	"strings"
 
 	"repro/internal/chaos"
-	"repro/internal/stats"
 )
 
-// chaosScenarios is the canonical failure battery, written in the
+// ChaosScenarios is the canonical failure battery, written in the
 // scenario DSL itself so the sweep exercises the same parse/validate
 // path as `nfssweep -scenario` (see examples/chaos/ for the on-disk
-// copies and docs/experiments.md for the schema).
-const chaosScenarios = `
+// copies and docs/experiments.md for the schema). FuzzChaosParse seeds
+// from it.
+const ChaosScenarios = `
 scenarios:
   - name: filer-crash
     description: filer reboots mid-write; NVRAM replay, zero loss
@@ -85,39 +85,28 @@ scenarios:
       - action: assert_error
 `
 
-// ChaosRow is one scenario's outcome in the chaos table.
-type ChaosRow struct {
-	Name      string
-	Server    string
-	Status    string // PASS or FAIL across the scenario's assertions
-	AggMBps   float64
-	Lost      int64
-	Replayed  int64
-	Rewritten int64
-	Verf      int64 // client-observed write-verifier changes
-}
-
 // ChaosSweepResult is the failure-injection experiment: the crash/reboot
 // and dead-server scenarios run through the chaos engine, contrasting
 // the two backends' durability stories — the filer's NVRAM log replays
 // acked data after a reboot, while knfsd's page cache loses it and the
 // client must detect the verifier change and rewrite (RFC 1813 §3.3.7).
-type ChaosSweepResult struct {
-	Rows    []ChaosRow
-	Reports []*chaos.Report
-}
+// Its rows are the engine's reports, one per scenario.
+type ChaosSweepResult struct{ table[*chaos.Report] }
 
-// Table renders the chaos table.
-func (r *ChaosSweepResult) Table() *stats.Table {
-	t := stats.NewTable(
-		"Chaos scenarios - server crash/reboot and dead-server failure injection",
-		"scenario", "server", "status", "agg MBps", "lost B", "replayed B", "rewritten B", "verf chg")
-	for _, row := range r.Rows {
-		t.AddRow(row.Name, row.Server, row.Status,
-			fmt.Sprintf("%.2f", row.AggMBps), fmt.Sprint(row.Lost),
-			fmt.Sprint(row.Replayed), fmt.Sprint(row.Rewritten), fmt.Sprint(row.Verf))
-	}
-	return t
+var chaosCols = []column[*chaos.Report]{
+	{"scenario", func(r *chaos.Report) string { return r.Scenario.Name }},
+	{"server", func(r *chaos.Report) string { return r.Scenario.Fleet.Server.String() }},
+	{"status", func(r *chaos.Report) string {
+		if r.Failed {
+			return "FAIL"
+		}
+		return "PASS"
+	}},
+	{"agg MBps", func(r *chaos.Report) string { return fmt.Sprintf("%.2f", r.Result.AggMBps) }},
+	{"lost B", func(r *chaos.Report) string { return fmt.Sprint(r.LostBytes) }},
+	{"replayed B", func(r *chaos.Report) string { return fmt.Sprint(r.ReplayedBytes) }},
+	{"rewritten B", func(r *chaos.Report) string { return fmt.Sprint(r.RewrittenBytes) }},
+	{"verf chg", func(r *chaos.Report) string { return fmt.Sprint(r.VerfChanges) }},
 }
 
 // Render formats the table, the per-scenario reports, and the headline
@@ -125,7 +114,7 @@ func (r *ChaosSweepResult) Table() *stats.Table {
 func (r *ChaosSweepResult) Render() string {
 	var b strings.Builder
 	b.WriteString(r.Table().String())
-	for _, rep := range r.Reports {
+	for _, rep := range r.Rows {
 		b.WriteString(rep.Render())
 	}
 	b.WriteString("same crash, two durability stories: the filer replays its NVRAM log\n")
@@ -138,26 +127,11 @@ func (r *ChaosSweepResult) Render() string {
 // scenario is one deterministic simulation; the table and reports are
 // byte-identical at any Workers value.
 func ChaosSweep() *ChaosSweepResult {
-	scs, err := chaos.Parse([]byte(chaosScenarios))
+	scs, err := chaos.Parse([]byte(ChaosScenarios))
 	if err != nil {
 		panic("experiments: bad built-in chaos scenarios: " + err.Error())
 	}
-	r := &ChaosSweepResult{Reports: chaos.RunAll(scs, Workers)}
-	for _, rep := range r.Reports {
-		status := "PASS"
-		if rep.Failed {
-			status = "FAIL"
-		}
-		r.Rows = append(r.Rows, ChaosRow{
-			Name:      rep.Scenario.Name,
-			Server:    rep.Scenario.Fleet.Server.String(),
-			Status:    status,
-			AggMBps:   rep.Result.AggMBps,
-			Lost:      rep.LostBytes,
-			Replayed:  rep.ReplayedBytes,
-			Rewritten: rep.RewrittenBytes,
-			Verf:      rep.VerfChanges,
-		})
-	}
-	return r
+	return &ChaosSweepResult{table[*chaos.Report]{
+		"Chaos scenarios - server crash/reboot and dead-server failure injection",
+		chaosCols, chaos.RunAll(scs, Workers)}}
 }

@@ -16,7 +16,10 @@
 //	Slow100 §3.5 verification: slower server, faster memory writes
 //	Profile §3.4/§3.5 kernel-profile findings
 //	Jumbo   §3.5 future work: jumbo frames ablation
+//	Concurrency §3.5: two writers to separate files, BKL held vs released
 //	Scaling beyond the paper: N client machines against one server
+//	Fleet   beyond the paper: 10/100/1000-client fleets against one
+//	        filer — fairness and slot-table convoying
 //	Loss    beyond the paper: UDP vs TCP under fragment loss
 //	Read    beyond the paper: sequential read, rewrite and mixed
 //	        workloads with a client readahead ablation
@@ -29,10 +32,13 @@
 //	        an attribute-cache (noac) and skew (uniform) ablation
 //	Coherence beyond the paper: writers and readers sharing one file
 //	        under strict/ttl/noac consistency — staleness vs throughput
+//	Chaos   beyond the paper: server crash/reboot and dead-server
+//	        failure injection through the chaos scenario engine
 package experiments
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -47,14 +53,61 @@ import (
 	"repro/internal/vfs"
 )
 
-// Workers is the harness worker-pool size for the grid-shaped
-// experiments (Fig1/Fig7 sweeps, Table1, Slow100, Jumbo); 0 means one
-// worker per CPU. cmd/nfsbench's -workers flag sets it. Results are
-// identical for every value — only wall-clock time changes.
+// Workers is the worker-pool size for every grid-shaped experiment —
+// the Fig1/Fig7 sweeps, Table1, Slow100, Jumbo, Scaling, Fleet, Loss,
+// Read, Random, DBLoad, Zipf and Coherence — and for the chaos battery;
+// 0 means one worker per CPU. cmd/nfsbench's -workers flag sets it.
+// Results are identical for every value — only wall-clock time changes.
 var Workers int
 
 func runGrid(g harness.Grid) []harness.Result {
 	return (&harness.Runner{Workers: Workers}).Run(g.Expand())
+}
+
+// column is one column of an experiment's table: its header and how a
+// row's cell is formatted.
+type column[T any] struct {
+	head string
+	cell func(T) string
+}
+
+// table holds a table-shaped experiment's rows exactly as the harness
+// (or the chaos engine) returned them, with the title and columns they
+// render under. A new table is a grid plus a column list; every derived
+// value lives in one helper that both its column and its readers call.
+type table[T any] struct {
+	title string
+	cols  []column[T]
+	Rows  []T
+}
+
+// Table renders every row, one cell per column.
+func (t *table[T]) Table() *stats.Table {
+	heads := make([]string, len(t.cols))
+	for i, c := range t.cols {
+		heads[i] = c.head
+	}
+	out := stats.NewTable(t.title, heads...)
+	for _, row := range t.Rows {
+		cells := make([]string, len(t.cols))
+		for i, c := range t.cols {
+			cells[i] = c.cell(row)
+		}
+		out.AddRow(cells...)
+	}
+	return out
+}
+
+// Row returns the first row whose leading cells read key — e.g.
+// Row("enhanced", "read") for the read table's config and workload
+// columns — or nil if no row does.
+func (t *table[T]) Row(key ...string) *T {
+	for i, row := range t.Rows {
+		if slices.EqualFunc(key, t.cols[:len(key)], func(k string, c column[T]) bool { return c.cell(row) == k }) {
+			return &t.Rows[i]
+		}
+	}
+	return nil
 }
 
 // PaperSizesMB is the Figure 1/7 x-axis: 25–450 MB in 25 MB steps.
@@ -513,35 +566,17 @@ func Concurrency() *ConcurrencyResult {
 	}
 }
 
-// ScalingRow is one cell of the multi-client scale-out table.
-type ScalingRow struct {
-	Config    string
-	Clients   int
-	PerClient float64 // mean per-client throughput through close, MBps
-	Aggregate float64 // fleet bytes over the span to the last close, MBps
-	Fairness  float64 // Jain's index over per-client throughputs
-	ServerNet float64 // sustained server ingest, MBps
-}
-
 // ScalingResult is the scale-out experiment the paper's single-client
 // test bed could not run: N client machines against one server.
-type ScalingResult struct {
-	Server string
-	FileMB int
-	Rows   []ScalingRow
-}
+type ScalingResult struct{ table[harness.Result] }
 
-// Table renders the scale-out table.
-func (r *ScalingResult) Table() *stats.Table {
-	t := stats.NewTable(
-		fmt.Sprintf("Multi-client scale-out - %d MB per client, full runs, %s", r.FileMB, r.Server),
-		"config", "clients", "per-client MBps", "aggregate MBps", "fairness", "server MBps")
-	for _, row := range r.Rows {
-		t.AddRow(row.Config, fmt.Sprint(row.Clients),
-			fmt.Sprintf("%.1f", row.PerClient), fmt.Sprintf("%.1f", row.Aggregate),
-			fmt.Sprintf("%.3f", row.Fairness), fmt.Sprintf("%.1f", row.ServerNet))
-	}
-	return t
+var scalingCols = []column[harness.Result]{
+	{"config", func(r harness.Result) string { return r.Config }},
+	{"clients", func(r harness.Result) string { return fmt.Sprint(r.Clients) }},
+	{"per-client MBps", func(r harness.Result) string { return fmt.Sprintf("%.1f", r.CloseMBps) }},
+	{"aggregate MBps", func(r harness.Result) string { return fmt.Sprintf("%.1f", r.AggMBps) }},
+	{"fairness", func(r harness.Result) string { return fmt.Sprintf("%.3f", r.Fairness) }},
+	{"server MBps", func(r harness.Result) string { return fmt.Sprintf("%.1f", r.ServerNetMBps) }},
 }
 
 // Render formats the table plus the headline observation.
@@ -570,29 +605,9 @@ func Scaling() *ScalingResult {
 		Clients:     []int{1, 2, 4, 8},
 		TimeLimit:   10 * time.Minute,
 	})
-	r := &ScalingResult{Server: nfssim.ServerFiler.String(), FileMB: fileMB}
-	for _, res := range results {
-		r.Rows = append(r.Rows, ScalingRow{
-			Config:    res.Config,
-			Clients:   res.Clients,
-			PerClient: res.CloseMBps,
-			Aggregate: res.AggMBps,
-			Fairness:  res.Fairness,
-			ServerNet: res.ServerNetMBps,
-		})
-	}
-	return r
-}
-
-// LossRow is one cell of the lossy-network table.
-type LossRow struct {
-	Config      string
-	Transport   string
-	Loss        float64 // per-fragment drop probability
-	WriteMBps   float64 // memory write throughput
-	AggMBps     float64 // end-to-end throughput through close
-	Retransmits int64   // whole-RPC resends (UDP) / segment resends (TCP)
-	DupReplies  int64   // suppressed duplicate replies (UDP only)
+	return &ScalingResult{table[harness.Result]{
+		fmt.Sprintf("Multi-client scale-out - %d MB per client, full runs, %s", fileMB, nfssim.ServerFiler),
+		scalingCols, results}}
 }
 
 // LossResult is the lossy-network experiment the paper motivates but
@@ -601,23 +616,16 @@ type LossRow struct {
 // lost 1500-byte fragment discards a whole 8 KB WRITE and the client
 // stalls on its retransmit timer; the stream transport retransmits only
 // the lost MTU-sized segment after an RTT-adaptive timeout.
-type LossResult struct {
-	Server string
-	FileMB int
-	Rows   []LossRow
-}
+type LossResult struct{ table[harness.Result] }
 
-// Table renders the loss table.
-func (r *LossResult) Table() *stats.Table {
-	t := stats.NewTable(
-		fmt.Sprintf("Lossy network - %d MB full runs, %s, UDP vs TCP", r.FileMB, r.Server),
-		"config", "transport", "loss %", "write MBps", "end-to-end MBps", "rexmt", "dup replies")
-	for _, row := range r.Rows {
-		t.AddRow(row.Config, row.Transport, fmt.Sprintf("%g", row.Loss*100),
-			fmt.Sprintf("%.1f", row.WriteMBps), fmt.Sprintf("%.2f", row.AggMBps),
-			fmt.Sprint(row.Retransmits), fmt.Sprint(row.DupReplies))
-	}
-	return t
+var lossCols = []column[harness.Result]{
+	{"config", func(r harness.Result) string { return r.Config }},
+	{"transport", func(r harness.Result) string { return r.Transport }},
+	{"loss %", func(r harness.Result) string { return fmt.Sprintf("%g", r.Loss*100) }},
+	{"write MBps", func(r harness.Result) string { return fmt.Sprintf("%.1f", r.WriteMBps) }},
+	{"end-to-end MBps", func(r harness.Result) string { return fmt.Sprintf("%.2f", r.AggMBps) }},
+	{"rexmt", func(r harness.Result) string { return fmt.Sprint(r.Retransmits) }},
+	{"dup replies", func(r harness.Result) string { return fmt.Sprint(r.DupReplies) }},
 }
 
 // degradation returns 1 - (throughput at loss)/(throughput at loss 0)
@@ -678,63 +686,34 @@ func LossSweep() *LossResult {
 		LossRates:   []float64{0, 0.001, 0.01, 0.05},
 		TimeLimit:   10 * time.Minute,
 	})
-	r := &LossResult{Server: nfssim.ServerFiler.String(), FileMB: fileMB}
-	for _, res := range results {
-		r.Rows = append(r.Rows, LossRow{
-			Config:      res.Config,
-			Transport:   res.Transport,
-			Loss:        res.Loss,
-			WriteMBps:   res.WriteMBps,
-			AggMBps:     res.AggMBps,
-			Retransmits: res.Retransmits,
-			DupReplies:  res.DupReplies,
-		})
-	}
-	return r
+	return &LossResult{table[harness.Result]{
+		fmt.Sprintf("Lossy network - %d MB full runs, %s, UDP vs TCP", fileMB, nfssim.ServerFiler),
+		lossCols, results}}
 }
 
-// ReadRow is one cell of the read-path table.
-type ReadRow struct {
-	Config   string
-	Workload string
-	MBps     float64 // I/O-phase throughput (read rate for read workloads)
-	AggMBps  float64 // end-to-end throughput through close
-	ReadRPCs int64
-	HitRate  float64 // page-cache read hits / lookups
+// readHitRate is a run's page-cache read hits over lookups (0 when the
+// run never read).
+func readHitRate(r harness.Result) float64 {
+	if lookups := r.ReadHits + r.ReadMisses; lookups > 0 {
+		return float64(r.ReadHits) / float64(lookups)
+	}
+	return 0
 }
 
 // ReadSweepResult is the read-path experiment the paper's write-only
 // benchmark never ran: sequential read, rewrite, and mixed read/write
 // workloads, with the client readahead window as the ablation axis —
-// the read-side dual of the paper's write-behind study.
-type ReadSweepResult struct {
-	Server string
-	FileMB int
-	Rows   []ReadRow
-}
+// the read-side dual of the paper's write-behind study. A row's
+// WriteMBps is its I/O-phase throughput: the read rate for reads.
+type ReadSweepResult struct{ table[harness.Result] }
 
-// Throughput returns the I/O-phase throughput for one config/workload
-// cell (0 if absent).
-func (r *ReadSweepResult) Throughput(config, workload string) float64 {
-	for _, row := range r.Rows {
-		if row.Config == config && row.Workload == workload {
-			return row.MBps
-		}
-	}
-	return 0
-}
-
-// Table renders the read-path table.
-func (r *ReadSweepResult) Table() *stats.Table {
-	t := stats.NewTable(
-		fmt.Sprintf("Read path - %d MB full runs, %s, readahead ablation", r.FileMB, r.Server),
-		"config", "workload", "MBps", "end-to-end MBps", "read RPCs", "hit rate")
-	for _, row := range r.Rows {
-		t.AddRow(row.Config, row.Workload,
-			fmt.Sprintf("%.1f", row.MBps), fmt.Sprintf("%.1f", row.AggMBps),
-			fmt.Sprint(row.ReadRPCs), fmt.Sprintf("%.3f", row.HitRate))
-	}
-	return t
+var readCols = []column[harness.Result]{
+	{"config", func(r harness.Result) string { return r.Config }},
+	{"workload", func(r harness.Result) string { return r.Workload }},
+	{"MBps", func(r harness.Result) string { return fmt.Sprintf("%.1f", r.WriteMBps) }},
+	{"end-to-end MBps", func(r harness.Result) string { return fmt.Sprintf("%.1f", r.AggMBps) }},
+	{"read RPCs", func(r harness.Result) string { return fmt.Sprint(r.ReadRPCs) }},
+	{"hit rate", func(r harness.Result) string { return fmt.Sprintf("%.3f", readHitRate(r)) }},
 }
 
 // Render formats the table plus the headline observation: on sequential
@@ -744,7 +723,7 @@ func (r *ReadSweepResult) Table() *stats.Table {
 func (r *ReadSweepResult) Render() string {
 	var b strings.Builder
 	b.WriteString(r.Table().String())
-	on, off := r.Throughput("enhanced", "read"), r.Throughput("ra-off", "read")
+	on, off := r.Row("enhanced", "read").WriteMBps, r.Row("ra-off", "read").WriteMBps
 	if off > 0 {
 		fmt.Fprintf(&b, "sequential read: enhanced readahead %.1f MBps vs readahead-off %.1f MBps (%.1fx, strictly better: %v)\n",
 			on, off, on/off, on > off)
@@ -773,32 +752,9 @@ func ReadSweep() *ReadSweepResult {
 			bonnie.WorkloadMixed},
 		TimeLimit: 10 * time.Minute,
 	})
-	r := &ReadSweepResult{Server: nfssim.ServerFiler.String(), FileMB: fileMB}
-	for _, res := range results {
-		var hitRate float64
-		if lookups := res.ReadHits + res.ReadMisses; lookups > 0 {
-			hitRate = float64(res.ReadHits) / float64(lookups)
-		}
-		r.Rows = append(r.Rows, ReadRow{
-			Config:   res.Config,
-			Workload: res.Workload,
-			MBps:     res.WriteMBps,
-			AggMBps:  res.AggMBps,
-			ReadRPCs: res.ReadRPCs,
-			HitRate:  hitRate,
-		})
-	}
-	return r
-}
-
-// RandomRow is one cell of the random-access table.
-type RandomRow struct {
-	Config      string
-	Workload    string
-	MBps        float64 // I/O-phase throughput
-	RPCs        int64   // WRITE + READ RPCs
-	SoftFlushes int64
-	HitRate     float64 // page-cache read hits / lookups (read workloads)
+	return &ReadSweepResult{table[harness.Result]{
+		fmt.Sprintf("Read path - %d MB full runs, %s, readahead ablation", fileMB, nfssim.ServerFiler),
+		readCols, results}}
 }
 
 // RandomSweepResult is the random-access experiment the paper's
@@ -808,34 +764,15 @@ type RandomRow struct {
 // chunk and pile thousands of non-adjacent requests into the pending
 // list, so the O(n) scans of the linear list (fix 2's target) dominate —
 // the figure-3/4 divergence under a workload that actually stresses it.
-type RandomSweepResult struct {
-	Server string
-	FileMB int
-	Rows   []RandomRow
-}
+type RandomSweepResult struct{ table[harness.Result] }
 
-// Throughput returns the I/O-phase throughput for one config/workload
-// cell (0 if absent).
-func (r *RandomSweepResult) Throughput(config, workload string) float64 {
-	for _, row := range r.Rows {
-		if row.Config == config && row.Workload == workload {
-			return row.MBps
-		}
-	}
-	return 0
-}
-
-// Table renders the random-access table.
-func (r *RandomSweepResult) Table() *stats.Table {
-	t := stats.NewTable(
-		fmt.Sprintf("Random access - %d MB write-phase runs, %s, seq vs random", r.FileMB, r.Server),
-		"config", "workload", "MBps", "RPCs", "soft flushes", "hit rate")
-	for _, row := range r.Rows {
-		t.AddRow(row.Config, row.Workload,
-			fmt.Sprintf("%.1f", row.MBps), fmt.Sprint(row.RPCs),
-			fmt.Sprint(row.SoftFlushes), fmt.Sprintf("%.3f", row.HitRate))
-	}
-	return t
+var randomCols = []column[harness.Result]{
+	{"config", func(r harness.Result) string { return r.Config }},
+	{"workload", func(r harness.Result) string { return r.Workload }},
+	{"MBps", func(r harness.Result) string { return fmt.Sprintf("%.1f", r.WriteMBps) }},
+	{"RPCs", func(r harness.Result) string { return fmt.Sprint(r.RPCsSent + r.ReadRPCs) }},
+	{"soft flushes", func(r harness.Result) string { return fmt.Sprint(r.SoftFlushes) }},
+	{"hit rate", func(r harness.Result) string { return fmt.Sprintf("%.3f", readHitRate(r)) }},
 }
 
 // Render formats the table plus the headline observations: the hash
@@ -845,16 +782,16 @@ func (r *RandomSweepResult) Table() *stats.Table {
 func (r *RandomSweepResult) Render() string {
 	var b strings.Builder
 	b.WriteString(r.Table().String())
-	hashSeq, hashRand := r.Throughput("hash", "write"), r.Throughput("hash", "randwrite")
-	listRand := r.Throughput("nolimits", "randwrite")
-	stockRand := r.Throughput("stock", "randwrite")
+	hashSeq, hashRand := r.Row("hash", "write").WriteMBps, r.Row("hash", "randwrite").WriteMBps
+	listRand := r.Row("nolimits", "randwrite").WriteMBps
+	stockRand := r.Row("stock", "randwrite").WriteMBps
 	if hashSeq > 0 && listRand > 0 && stockRand > 0 {
 		fmt.Fprintf(&b, "random writes: hash %.1f MBps vs linear list %.1f (%.2fx) vs stock %.1f (%.2fx)\n",
 			hashRand, listRand, hashRand/listRand, stockRand, hashRand/stockRand)
 		fmt.Fprintf(&b, "hash client random/sequential parity: %.1f vs %.1f MBps (ratio %.3f)\n",
 			hashRand, hashSeq, hashRand/hashSeq)
 	}
-	if seqRead, randRead := r.Throughput("enhanced", "read"), r.Throughput("enhanced", "randread"); randRead > 0 {
+	if seqRead, randRead := r.Row("enhanced", "read").WriteMBps, r.Row("enhanced", "randread").WriteMBps; randRead > 0 {
 		fmt.Fprintf(&b, "random reads defeat readahead: %.1f MBps vs %.1f sequential (enhanced)\n",
 			randRead, seqRead)
 	}
@@ -886,33 +823,24 @@ func RandomSweep() *RandomSweepResult {
 		SkipFlushClose: true,
 		TimeLimit:      20 * time.Minute,
 	})
-	r := &RandomSweepResult{Server: nfssim.ServerFiler.String(), FileMB: fileMB}
-	for _, res := range results {
-		var hitRate float64
-		if lookups := res.ReadHits + res.ReadMisses; lookups > 0 {
-			hitRate = float64(res.ReadHits) / float64(lookups)
-		}
-		r.Rows = append(r.Rows, RandomRow{
-			Config:      res.Config,
-			Workload:    res.Workload,
-			MBps:        res.WriteMBps,
-			RPCs:        res.RPCsSent + res.ReadRPCs,
-			SoftFlushes: res.SoftFlushes,
-			HitRate:     hitRate,
-		})
-	}
-	return r
+	return &RandomSweepResult{table[harness.Result]{
+		fmt.Sprintf("Random access - %d MB write-phase runs, %s, seq vs random", fileMB, nfssim.ServerFiler),
+		randomCols, results}}
 }
 
-// DBRow is one cell of the database-load table.
-type DBRow struct {
-	Server     string
-	Config     string
-	MBps       float64       // durable write rate (group commits included)
-	FsyncCount int64         // group commits issued
-	FsyncTime  time.Duration // total time inside fsync
-	CommitRPCs int64         // COMMIT RPCs (0 when the server syncs writes)
-	TxPerSec   float64       // chunk updates per second, fsync included
+// FsyncTime is the total time a run spent inside group-commit fsyncs.
+func FsyncTime(r harness.Result) time.Duration {
+	return time.Duration(r.FsyncUs * float64(time.Microsecond))
+}
+
+// TxPerSec is a run's chunk updates per second, fsync included (0 when
+// the run wrote nothing).
+func TxPerSec(r harness.Result) float64 {
+	if r.WriteMBps <= 0 {
+		return 0
+	}
+	elapsedSec := float64(int64(r.FileMB)<<20) / (r.WriteMBps * 1e6)
+	return float64(r.Calls) / elapsedSec
 }
 
 // DBLoadResult is the §3.6 durability experiment: random page updates in
@@ -922,35 +850,16 @@ type DBRow struct {
 // motivates. The filer acknowledges WRITEs from NVRAM and never needs a
 // COMMIT, so its group commits return as soon as the queue drains; the
 // Linux server answers UNSTABLE and makes fsync wait on its disk.
-type DBLoadResult struct {
-	FileMB     int
-	FsyncEvery int
-	Rows       []DBRow
-}
+type DBLoadResult struct{ table[harness.Result] }
 
-// Row returns one server/config cell (nil if absent).
-func (r *DBLoadResult) Row(server, config string) *DBRow {
-	for i := range r.Rows {
-		if r.Rows[i].Server == server && r.Rows[i].Config == config {
-			return &r.Rows[i]
-		}
-	}
-	return nil
-}
-
-// Table renders the database-load table.
-func (r *DBLoadResult) Table() *stats.Table {
-	t := stats.NewTable(
-		fmt.Sprintf("Database load - %d MB random page updates, fsync every %d chunks",
-			r.FileMB, r.FsyncEvery),
-		"server", "config", "MBps", "fsyncs", "in fsync", "COMMITs", "tx/sec")
-	for _, row := range r.Rows {
-		t.AddRow(row.Server, row.Config,
-			fmt.Sprintf("%.1f", row.MBps), fmt.Sprint(row.FsyncCount),
-			row.FsyncTime.Round(time.Millisecond).String(), fmt.Sprint(row.CommitRPCs),
-			fmt.Sprintf("%.0f", row.TxPerSec))
-	}
-	return t
+var dbCols = []column[harness.Result]{
+	{"server", func(r harness.Result) string { return r.Server }},
+	{"config", func(r harness.Result) string { return r.Config }},
+	{"MBps", func(r harness.Result) string { return fmt.Sprintf("%.1f", r.WriteMBps) }},
+	{"fsyncs", func(r harness.Result) string { return fmt.Sprint(r.FsyncCount) }},
+	{"in fsync", func(r harness.Result) string { return FsyncTime(r).Round(time.Millisecond).String() }},
+	{"COMMITs", func(r harness.Result) string { return fmt.Sprint(r.CommitRPCs) }},
+	{"tx/sec", func(r harness.Result) string { return fmt.Sprintf("%.0f", TxPerSec(r)) }},
 }
 
 // Render formats the table plus the §3.6 headline: "where applications
@@ -964,9 +873,9 @@ func (r *DBLoadResult) Render() string {
 		if f == nil || l == nil {
 			continue
 		}
+		ft, lt := FsyncTime(*f), FsyncTime(*l)
 		fmt.Fprintf(&b, "%s: fsync costs %v on the filer vs %v on the Linux server (filer faster: %v)\n",
-			cfg, f.FsyncTime.Round(time.Millisecond), l.FsyncTime.Round(time.Millisecond),
-			f.FsyncTime < l.FsyncTime)
+			cfg, ft.Round(time.Millisecond), lt.Round(time.Millisecond), ft < lt)
 	}
 	b.WriteString("the filer never needs COMMIT (NVRAM): group commits return once the\n")
 	b.WriteString("WRITE queue drains; the Linux server answers UNSTABLE and every fsync\n")
@@ -991,36 +900,9 @@ func DBLoad() *DBLoadResult {
 		FsyncEvery:  fsyncEvery,
 		TimeLimit:   20 * time.Minute,
 	})
-	r := &DBLoadResult{FileMB: fileMB, FsyncEvery: fsyncEvery}
-	for _, res := range results {
-		var tps float64
-		if res.WriteMBps > 0 {
-			elapsedSec := float64(int64(res.FileMB)<<20) / (res.WriteMBps * 1e6)
-			tps = float64(res.Calls) / elapsedSec
-		}
-		r.Rows = append(r.Rows, DBRow{
-			Server:     res.Server,
-			Config:     res.Config,
-			MBps:       res.WriteMBps,
-			FsyncCount: res.FsyncCount,
-			FsyncTime:  time.Duration(res.FsyncUs * float64(time.Microsecond)),
-			CommitRPCs: res.CommitRPCs,
-			TxPerSec:   tps,
-		})
-	}
-	return r
-}
-
-// ZipfRow is one cell of the many-file metadata table.
-type ZipfRow struct {
-	Skew     string  // "zipf" (default skew) or "uniform"
-	Ac       string  // "on" (adaptive defaults) or "off" (mount -o noac)
-	AggMBps  float64 // aggregate data throughput across the op stream
-	Lookups  int64   // LOOKUP RPCs
-	Getattrs int64   // GETATTR RPCs (open-time revalidation)
-	Creates  int64   // CREATE RPCs
-	Removes  int64   // REMOVE RPCs
-	HitRate  float64 // attribute-cache hits / consultations
+	return &DBLoadResult{table[harness.Result]{
+		fmt.Sprintf("Database load - %d MB random page updates, fsync every %d chunks", fileMB, fsyncEvery),
+		dbCols, results}}
 }
 
 // ZipfSweepResult is the many-file metadata experiment the paper's
@@ -1033,37 +915,30 @@ type ZipfRow struct {
 // on cache hit rate and total metadata RPCs. (Throughput is not the
 // skew comparison's metric: local writes invalidate cached attributes,
 // and the hot set's files carry real data whose reads cost wire time,
-// so MBps confounds cache savings with bytes moved.)
-type ZipfSweepResult struct {
-	Server    string
-	FileMB    int
-	FileCount int
-	Rows      []ZipfRow
-}
+// so MBps confounds cache savings with bytes moved.) Rows are keyed by
+// skew ("zipf" or "uniform") and attribute cache ("on" for the adaptive
+// defaults, "off" for mount -o noac).
+type ZipfSweepResult struct{ table[harness.Result] }
 
-// Cell returns one skew/ac cell (nil if absent).
-func (r *ZipfSweepResult) Cell(skew, ac string) *ZipfRow {
-	for i := range r.Rows {
-		if r.Rows[i].Skew == skew && r.Rows[i].Ac == ac {
-			return &r.Rows[i]
+var zipfCols = []column[harness.Result]{
+	{"skew", func(r harness.Result) string {
+		if r.Scenario.ZipfS == bonnie.ZipfUniform {
+			return "uniform"
 		}
-	}
-	return nil
-}
-
-// Table renders the many-file metadata table.
-func (r *ZipfSweepResult) Table() *stats.Table {
-	t := stats.NewTable(
-		fmt.Sprintf("Many-file metadata - %d MB op budget over %d files, %s, enhanced client",
-			r.FileMB, r.FileCount, r.Server),
-		"skew", "attr cache", "agg MBps", "LOOKUPs", "GETATTRs", "CREATEs", "REMOVEs", "hit rate")
-	for _, row := range r.Rows {
-		t.AddRow(row.Skew, row.Ac,
-			fmt.Sprintf("%.2f", row.AggMBps), fmt.Sprint(row.Lookups),
-			fmt.Sprint(row.Getattrs), fmt.Sprint(row.Creates),
-			fmt.Sprint(row.Removes), fmt.Sprintf("%.3f", row.HitRate))
-	}
-	return t
+		return "zipf"
+	}},
+	{"attr cache", func(r harness.Result) string {
+		if r.Scenario.AcTimeout < 0 {
+			return "off"
+		}
+		return "on"
+	}},
+	{"agg MBps", func(r harness.Result) string { return fmt.Sprintf("%.2f", r.AggMBps) }},
+	{"LOOKUPs", func(r harness.Result) string { return fmt.Sprint(r.LookupRPCs) }},
+	{"GETATTRs", func(r harness.Result) string { return fmt.Sprint(r.GetattrRPCs) }},
+	{"CREATEs", func(r harness.Result) string { return fmt.Sprint(r.CreateRPCs) }},
+	{"REMOVEs", func(r harness.Result) string { return fmt.Sprint(r.RemoveRPCs) }},
+	{"hit rate", func(r harness.Result) string { return fmt.Sprintf("%.3f", r.AttrCacheHitRate) }},
 }
 
 // Render formats the table plus the headline comparisons: the attribute
@@ -1072,15 +947,15 @@ func (r *ZipfSweepResult) Table() *stats.Table {
 func (r *ZipfSweepResult) Render() string {
 	var b strings.Builder
 	b.WriteString(r.Table().String())
-	if on, off := r.Cell("zipf", "on"), r.Cell("zipf", "off"); on != nil && off != nil {
+	if on, off := r.Row("zipf", "on"), r.Row("zipf", "off"); on != nil && off != nil {
 		fmt.Fprintf(&b, "attribute cache: %d GETATTRs vs %d with noac (fewer: %v); %.2f vs %.2f MBps (faster: %v)\n",
-			on.Getattrs, off.Getattrs, on.Getattrs < off.Getattrs,
+			on.GetattrRPCs, off.GetattrRPCs, on.GetattrRPCs < off.GetattrRPCs,
 			on.AggMBps, off.AggMBps, on.AggMBps > off.AggMBps)
 	}
-	if z, u := r.Cell("zipf", "on"), r.Cell("uniform", "on"); z != nil && u != nil {
-		zm, um := z.Lookups+z.Getattrs+z.Creates, u.Lookups+u.Getattrs+u.Creates
+	if z, u := r.Row("zipf", "on"), r.Row("uniform", "on"); z != nil && u != nil {
+		zm, um := z.LookupRPCs+z.GetattrRPCs+z.CreateRPCs, u.LookupRPCs+u.GetattrRPCs+u.CreateRPCs
 		fmt.Fprintf(&b, "hot-set skew: hit rate %.3f vs uniform %.3f (higher: %v); %d metadata RPCs vs %d (fewer: %v)\n",
-			z.HitRate, u.HitRate, z.HitRate > u.HitRate, zm, um, zm < um)
+			z.AttrCacheHitRate, u.AttrCacheHitRate, z.AttrCacheHitRate > u.AttrCacheHitRate, zm, um, zm < um)
 	}
 	b.WriteString("every op resolves its name through the attribute cache; hot files stay\n")
 	b.WriteString("fresh between opens, so the cache saves the per-open GETATTR the way\n")
@@ -1105,39 +980,10 @@ func ZipfSweep() *ZipfSweepResult {
 		AcTimeouts:  []sim.Time{0, core.AcOff},
 		TimeLimit:   10 * time.Minute,
 	})
-	r := &ZipfSweepResult{Server: nfssim.ServerFiler.String(), FileMB: fileMB, FileCount: fileCount}
-	for _, res := range results {
-		skew := "zipf"
-		if res.Scenario.ZipfS == bonnie.ZipfUniform {
-			skew = "uniform"
-		}
-		ac := "on"
-		if res.Scenario.AcTimeout < 0 {
-			ac = "off"
-		}
-		r.Rows = append(r.Rows, ZipfRow{
-			Skew:     skew,
-			Ac:       ac,
-			AggMBps:  res.AggMBps,
-			Lookups:  res.LookupRPCs,
-			Getattrs: res.GetattrRPCs,
-			Creates:  res.CreateRPCs,
-			Removes:  res.RemoveRPCs,
-			HitRate:  res.AttrCacheHitRate,
-		})
-	}
-	return r
-}
-
-// CoherenceRow is one consistency mode's cell of the cache-coherence
-// table.
-type CoherenceRow struct {
-	Mode          string  // "strict", "ttl" or "noac"
-	AggMBps       float64 // aggregate throughput across writers and readers
-	StaleReads    int64   // cached reads served during a stale open
-	Invalidations int64   // page-cache invalidations from foreign changes
-	Getattrs      int64   // GETATTR RPCs (open-time revalidation)
-	ChangeBumps   int64   // server-side change-attribute increments
+	return &ZipfSweepResult{table[harness.Result]{
+		fmt.Sprintf("Many-file metadata - %d MB op budget over %d files, %s, enhanced client",
+			fileMB, fileCount, nfssim.ServerFiler),
+		zipfCols, results}}
 }
 
 // CoherenceSweepResult is the cache-coherence experiment: half the
@@ -1148,38 +994,17 @@ type CoherenceRow struct {
 // refetches. The ttl mode bounds staleness by the attribute-cache
 // window and recovers most of the throughput; noac (in the sense of
 // "never revalidate an open") tops the throughput table by trusting
-// cached pages unboundedly, and pays in stale reads.
-type CoherenceSweepResult struct {
-	Server  string
-	FileMB  int
-	Clients int
-	Window  sim.Time // ttl mode's attribute-cache window
-	Rows    []CoherenceRow
-}
+// cached pages unboundedly, and pays in stale reads. Rows are keyed by
+// mode: "strict", "ttl" or "noac".
+type CoherenceSweepResult struct{ table[harness.Result] }
 
-// Cell returns one mode's row (nil if absent).
-func (r *CoherenceSweepResult) Cell(mode string) *CoherenceRow {
-	for i := range r.Rows {
-		if r.Rows[i].Mode == mode {
-			return &r.Rows[i]
-		}
-	}
-	return nil
-}
-
-// Table renders the coherence table.
-func (r *CoherenceSweepResult) Table() *stats.Table {
-	t := stats.NewTable(
-		fmt.Sprintf("Cache coherence - %d clients sharing one %d MB file, %s, enhanced client, ttl window %v",
-			r.Clients, r.FileMB, r.Server, time.Duration(r.Window)),
-		"mode", "agg MBps", "stale reads", "invalidations", "GETATTRs", "change bumps")
-	for _, row := range r.Rows {
-		t.AddRow(row.Mode,
-			fmt.Sprintf("%.2f", row.AggMBps), fmt.Sprint(row.StaleReads),
-			fmt.Sprint(row.Invalidations), fmt.Sprint(row.Getattrs),
-			fmt.Sprint(row.ChangeBumps))
-	}
-	return t
+var coherenceCols = []column[harness.Result]{
+	{"mode", func(r harness.Result) string { return r.Consistency }},
+	{"agg MBps", func(r harness.Result) string { return fmt.Sprintf("%.2f", r.AggMBps) }},
+	{"stale reads", func(r harness.Result) string { return fmt.Sprint(r.StaleReads) }},
+	{"invalidations", func(r harness.Result) string { return fmt.Sprint(r.Invalidations) }},
+	{"GETATTRs", func(r harness.Result) string { return fmt.Sprint(r.GetattrRPCs) }},
+	{"change bumps", func(r harness.Result) string { return fmt.Sprint(r.ChangeBumps) }},
 }
 
 // Render formats the table plus the headline trade-off: strict buys
@@ -1189,11 +1014,11 @@ func (r *CoherenceSweepResult) Table() *stats.Table {
 func (r *CoherenceSweepResult) Render() string {
 	var b strings.Builder
 	b.WriteString(r.Table().String())
-	strict, ttl, noac := r.Cell("strict"), r.Cell("ttl"), r.Cell("noac")
+	strict, ttl, noac := r.Row("strict"), r.Row("ttl"), r.Row("noac")
 	if strict != nil && ttl != nil {
 		fmt.Fprintf(&b, "strict close-to-open: %d stale reads (zero: %v); %d GETATTRs vs ttl's %d (more: %v)\n",
 			strict.StaleReads, strict.StaleReads == 0,
-			strict.Getattrs, ttl.Getattrs, strict.Getattrs > ttl.Getattrs)
+			strict.GetattrRPCs, ttl.GetattrRPCs, strict.GetattrRPCs > ttl.GetattrRPCs)
 	}
 	if strict != nil && ttl != nil && noac != nil {
 		fmt.Fprintf(&b, "ttl window: %d stale reads vs noac's %d (bounded: %v); %.2f vs strict's %.2f MBps (no slower: %v)\n",
@@ -1231,21 +1056,10 @@ func CoherenceSweep() *CoherenceSweepResult {
 		},
 		TimeLimit: 10 * time.Minute,
 	})
-	r := &CoherenceSweepResult{
-		Server: nfssim.ServerFiler.String(), FileMB: fileMB,
-		Clients: clients, Window: CoherenceWindow,
-	}
-	for _, res := range results {
-		r.Rows = append(r.Rows, CoherenceRow{
-			Mode:          res.Consistency,
-			AggMBps:       res.AggMBps,
-			StaleReads:    res.StaleReads,
-			Invalidations: res.Invalidations,
-			Getattrs:      res.GetattrRPCs,
-			ChangeBumps:   res.ChangeBumps,
-		})
-	}
-	return r
+	return &CoherenceSweepResult{table[harness.Result]{
+		fmt.Sprintf("Cache coherence - %d clients sharing one %d MB file, %s, enhanced client, ttl window %v",
+			clients, fileMB, nfssim.ServerFiler, time.Duration(CoherenceWindow)),
+		coherenceCols, results}}
 }
 
 // JumboResult is the §3.5 future-work ablation: jumbo frames cut IP
@@ -1286,44 +1100,46 @@ func Jumbo() *JumboResult {
 	return r
 }
 
-// FleetRow is one cell of the thousand-client fleet table.
-type FleetRow struct {
-	Clients   int
-	PerClient float64 // mean per-client throughput through close, MBps
-	Aggregate float64 // fleet bytes over the span to the last close, MBps
-	Fairness  float64 // Jain's index over per-client throughputs
-	ServerNet float64 // sustained server ingest, MBps
-	// Slot-table convoying: the share of RPCs that found their client's
-	// slot table full, and the mean time such an RPC spent queued. As
-	// the fleet grows the server becomes the bottleneck, replies slow
-	// down, slots stay occupied longer, and new requests convoy behind
-	// them — the client-visible signature of server saturation.
-	SlotWaitShare float64
-	SlotWaitUs    float64 // mean queue time per waiting RPC, microseconds
+// totalRPCs counts every RPC a run's client machines issued.
+func totalRPCs(r harness.Result) int64 {
+	return r.RPCsSent + r.ReadRPCs + r.CommitRPCs +
+		r.LookupRPCs + r.GetattrRPCs + r.CreateRPCs + r.RemoveRPCs
+}
+
+// SlotWaitShare is the share of a run's RPCs that found their client's
+// slot table full. As a fleet grows the server becomes the bottleneck,
+// replies slow down, slots stay occupied longer, and new requests
+// convoy behind them — the client-visible signature of server
+// saturation.
+func SlotWaitShare(r harness.Result) float64 {
+	if total := totalRPCs(r); total > 0 {
+		return float64(r.SlotWaits) / float64(total)
+	}
+	return 0
+}
+
+// slotWaitUs is the mean time, in microseconds, a waiting RPC spent
+// queued for a slot.
+func slotWaitUs(r harness.Result) float64 {
+	if r.SlotWaits > 0 {
+		return r.SlotWaitUs / float64(r.SlotWaits)
+	}
+	return 0
 }
 
 // FleetResult is the fleet experiment: the Clients axis extended past
 // the paper's hardware to 10/100/1000 client machines in one
 // deterministic simulation (ROADMAP item 2).
-type FleetResult struct {
-	Server string
-	Config string
-	FileMB int
-	Rows   []FleetRow
-}
+type FleetResult struct{ table[harness.Result] }
 
-// Table renders the fleet table.
-func (r *FleetResult) Table() *stats.Table {
-	t := stats.NewTable(
-		fmt.Sprintf("Thousand-client fleet - %d MB per client, full runs, %s/%s", r.FileMB, r.Server, r.Config),
-		"clients", "per-client MBps", "aggregate MBps", "fairness", "server MBps", "slot-wait share", "slot-wait us")
-	for _, row := range r.Rows {
-		t.AddRow(fmt.Sprint(row.Clients),
-			fmt.Sprintf("%.2f", row.PerClient), fmt.Sprintf("%.1f", row.Aggregate),
-			fmt.Sprintf("%.3f", row.Fairness), fmt.Sprintf("%.1f", row.ServerNet),
-			fmt.Sprintf("%.3f", row.SlotWaitShare), fmt.Sprintf("%.0f", row.SlotWaitUs))
-	}
-	return t
+var fleetCols = []column[harness.Result]{
+	{"clients", func(r harness.Result) string { return fmt.Sprint(r.Clients) }},
+	{"per-client MBps", func(r harness.Result) string { return fmt.Sprintf("%.2f", r.CloseMBps) }},
+	{"aggregate MBps", func(r harness.Result) string { return fmt.Sprintf("%.1f", r.AggMBps) }},
+	{"fairness", func(r harness.Result) string { return fmt.Sprintf("%.3f", r.Fairness) }},
+	{"server MBps", func(r harness.Result) string { return fmt.Sprintf("%.1f", r.ServerNetMBps) }},
+	{"slot-wait share", func(r harness.Result) string { return fmt.Sprintf("%.3f", SlotWaitShare(r)) }},
+	{"slot-wait us", func(r harness.Result) string { return fmt.Sprintf("%.0f", slotWaitUs(r)) }},
 }
 
 // Render formats the table plus the headline observation.
@@ -1355,24 +1171,7 @@ func FleetAt(clients []int, fileMB int) *FleetResult {
 		Clients:     clients,
 		TimeLimit:   2 * time.Hour,
 	})
-	r := &FleetResult{Server: nfssim.ServerFiler.String(), Config: "enhanced", FileMB: fileMB}
-	for _, res := range results {
-		row := FleetRow{
-			Clients:   res.Clients,
-			PerClient: res.CloseMBps,
-			Aggregate: res.AggMBps,
-			Fairness:  res.Fairness,
-			ServerNet: res.ServerNetMBps,
-		}
-		total := res.RPCsSent + res.ReadRPCs + res.CommitRPCs +
-			res.LookupRPCs + res.GetattrRPCs + res.CreateRPCs + res.RemoveRPCs
-		if total > 0 {
-			row.SlotWaitShare = float64(res.SlotWaits) / float64(total)
-		}
-		if res.SlotWaits > 0 {
-			row.SlotWaitUs = res.SlotWaitUs / float64(res.SlotWaits)
-		}
-		r.Rows = append(r.Rows, row)
-	}
-	return r
+	return &FleetResult{table[harness.Result]{
+		fmt.Sprintf("Thousand-client fleet - %d MB per client, full runs, %s/enhanced", fileMB, nfssim.ServerFiler),
+		fleetCols, results}}
 }

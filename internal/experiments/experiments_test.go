@@ -1,10 +1,13 @@
 package experiments
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/harness"
 	"repro/internal/stats"
 )
 
@@ -44,6 +47,20 @@ func TestFig1Shape(t *testing.T) {
 	}
 	if !strings.Contains(r.Render(), "Figure 1") {
 		t.Fatal("render missing title")
+	}
+}
+
+// checkGolden compares an experiment's rendered output byte for byte
+// against testdata/<name>.golden, so a change to a table's columns,
+// formats or headline is a visible diff.
+func checkGolden(t *testing.T, name, got string) {
+	t.Helper()
+	want, err := os.ReadFile(filepath.Join("testdata", name+".golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Fatalf("%s render differs from testdata/%s.golden:\n--- got\n%s\n--- want\n%s", name, name, got, want)
 	}
 }
 
@@ -303,9 +320,9 @@ func TestScalingShape(t *testing.T) {
 	if len(r.Rows) != 8 { // 2 configs x {1, 2, 4, 8} clients
 		t.Fatalf("rows = %d, want 8", len(r.Rows))
 	}
-	byConfig := map[string][]ScalingRow{}
+	byConfig := map[string][]harness.Result{}
 	for _, row := range r.Rows {
-		if row.PerClient <= 0 || row.Aggregate <= 0 {
+		if row.CloseMBps <= 0 || row.AggMBps <= 0 {
 			t.Fatalf("empty throughput in row %+v", row)
 		}
 		if row.Fairness <= 0 || row.Fairness > 1 {
@@ -319,9 +336,9 @@ func TestScalingShape(t *testing.T) {
 		}
 		// Two clients outrun one: the shared server is not saturated by a
 		// single client machine's full write+flush+close run.
-		if rows[1].Aggregate <= rows[0].Aggregate {
+		if rows[1].AggMBps <= rows[0].AggMBps {
 			t.Fatalf("%s: 2-client aggregate %.1f <= 1-client %.1f",
-				cfg, rows[1].Aggregate, rows[0].Aggregate)
+				cfg, rows[1].AggMBps, rows[0].AggMBps)
 		}
 		// Identical machines split the server evenly.
 		for _, row := range rows {
@@ -330,12 +347,13 @@ func TestScalingShape(t *testing.T) {
 			}
 		}
 		// Per-client share shrinks once the fleet shares the ingest ceiling.
-		if rows[3].PerClient >= rows[0].PerClient {
+		if rows[3].CloseMBps >= rows[0].CloseMBps {
 			t.Fatalf("%s: 8-client per-client %.1f >= 1-client %.1f",
-				cfg, rows[3].PerClient, rows[0].PerClient)
+				cfg, rows[3].CloseMBps, rows[0].CloseMBps)
 		}
 	}
 	out := r.Render()
+	checkGolden(t, "scaling", out)
 	for _, want := range []string{"scale-out", "fairness", "stock", "enhanced"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("render missing %q:\n%s", want, out)
@@ -383,6 +401,7 @@ func TestLossSweepShape(t *testing.T) {
 		}
 	}
 	out := r.Render()
+	checkGolden(t, "loss", out)
 	for _, want := range []string{"Lossy network", "udp", "tcp", "strictly better: true"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("render missing %q:\n%s", want, out)
@@ -404,30 +423,30 @@ func TestRandomSweepShape(t *testing.T) {
 		t.Fatalf("rows = %d, want 16", len(r.Rows))
 	}
 	for _, row := range r.Rows {
-		if row.MBps <= 0 {
+		if row.WriteMBps <= 0 {
 			t.Fatalf("empty throughput in row %+v", row)
 		}
-		if row.RPCs == 0 {
+		if row.RPCsSent+row.ReadRPCs == 0 {
 			t.Fatalf("row moved no RPCs: %+v", row)
 		}
 	}
 	// The acceptance criterion: the hash client beats the stock client on
 	// random writes, by the margin the fix progression promises.
-	hashRand := r.Throughput("hash", "randwrite")
-	stockRand := r.Throughput("stock", "randwrite")
+	hashRand := r.Row("hash", "randwrite").WriteMBps
+	stockRand := r.Row("stock", "randwrite").WriteMBps
 	if hashRand <= 2*stockRand {
 		t.Fatalf("hash random writes %.1f MBps not > 2x stock %.1f", hashRand, stockRand)
 	}
 	// Fix 2 in isolation: against the same cache-all flushing, the hash
 	// table beats the linear list on random writes, where every lookup
 	// rescans a non-adjacent backlog (figure-3/4 divergence).
-	listRand := r.Throughput("nolimits", "randwrite")
+	listRand := r.Row("nolimits", "randwrite").WriteMBps
 	if hashRand <= 1.3*listRand {
 		t.Fatalf("hash random writes %.1f MBps not >= 1.3x linear list %.1f", hashRand, listRand)
 	}
 	// Parity sequentially: random access costs the hash client nothing —
 	// its random-write rate stays within noise of its sequential rate.
-	hashSeq := r.Throughput("hash", "write")
+	hashSeq := r.Row("hash", "write").WriteMBps
 	if ratio := hashRand / hashSeq; ratio < 0.9 || ratio > 1.1 {
 		t.Fatalf("hash random/sequential ratio %.3f outside [0.9, 1.1] (%.1f vs %.1f MBps)",
 			ratio, hashRand, hashSeq)
@@ -435,13 +454,13 @@ func TestRandomSweepShape(t *testing.T) {
 	// The stock client is also at parity with itself: its request-count
 	// limits bound the list, so the scans never grow — random access is
 	// only expensive once fix 1 removes the limits and the list is long.
-	stockSeq := r.Throughput("stock", "write")
+	stockSeq := r.Row("stock", "write").WriteMBps
 	if ratio := stockRand / stockSeq; ratio < 0.85 || ratio > 1.15 {
 		t.Fatalf("stock random/sequential ratio %.3f outside [0.85, 1.15]", ratio)
 	}
 	// Random reads defeat readahead: every seek collapses the window, so
 	// the reader pays a round trip per miss instead of streaming.
-	seqRead, randRead := r.Throughput("enhanced", "read"), r.Throughput("enhanced", "randread")
+	seqRead, randRead := r.Row("enhanced", "read").WriteMBps, r.Row("enhanced", "randread").WriteMBps
 	if seqRead <= 3*randRead {
 		t.Fatalf("sequential read %.1f MBps not > 3x random read %.1f", seqRead, randRead)
 	}
@@ -457,6 +476,7 @@ func TestRandomSweepShape(t *testing.T) {
 		}
 	}
 	out := r.Render()
+	checkGolden(t, "random", out)
 	for _, want := range []string{"Random access", "randwrite", "parity"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("render missing %q:\n%s", want, out)
@@ -475,14 +495,14 @@ func TestDBLoadShape(t *testing.T) {
 		t.Fatalf("rows = %d, want 4", len(r.Rows))
 	}
 	for _, row := range r.Rows {
-		if row.MBps <= 0 || row.TxPerSec <= 0 {
+		if row.WriteMBps <= 0 || TxPerSec(row) <= 0 {
 			t.Fatalf("empty throughput in row %+v", row)
 		}
 		// 20 MB / 8 KB chunks = 2560 writes, one fsync per 50.
 		if want := int64(2560 / 50); row.FsyncCount != want {
 			t.Fatalf("fsync count = %d, want %d: %+v", row.FsyncCount, want, row)
 		}
-		if row.FsyncTime == 0 {
+		if FsyncTime(row) == 0 {
 			t.Fatalf("no fsync time recorded: %+v", row)
 		}
 		switch row.Server {
@@ -502,20 +522,21 @@ func TestDBLoadShape(t *testing.T) {
 		if f == nil || l == nil {
 			t.Fatalf("missing %s rows", cfg)
 		}
-		if f.FsyncTime >= l.FsyncTime {
-			t.Fatalf("%s: filer fsync %v not below linux %v", cfg, f.FsyncTime, l.FsyncTime)
+		if FsyncTime(*f) >= FsyncTime(*l) {
+			t.Fatalf("%s: filer fsync %v not below linux %v", cfg, FsyncTime(*f), FsyncTime(*l))
 		}
-		if f.TxPerSec <= l.TxPerSec {
-			t.Fatalf("%s: filer tx/sec %.0f not above linux %.0f", cfg, f.TxPerSec, l.TxPerSec)
+		if TxPerSec(*f) <= TxPerSec(*l) {
+			t.Fatalf("%s: filer tx/sec %.0f not above linux %.0f", cfg, TxPerSec(*f), TxPerSec(*l))
 		}
 	}
 	for _, srv := range []string{"filer", "linux"} {
 		stock, enh := r.Row(srv, "stock"), r.Row(srv, "enhanced")
-		if enh.MBps <= stock.MBps {
-			t.Fatalf("%s: enhanced %.1f MBps not above stock %.1f", srv, enh.MBps, stock.MBps)
+		if enh.WriteMBps <= stock.WriteMBps {
+			t.Fatalf("%s: enhanced %.1f MBps not above stock %.1f", srv, enh.WriteMBps, stock.WriteMBps)
 		}
 	}
 	out := r.Render()
+	checkGolden(t, "db", out)
 	for _, want := range []string{"Database load", "COMMIT", "filer faster: true"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("render missing %q:\n%s", want, out)
@@ -532,19 +553,19 @@ func TestReadSweepShape(t *testing.T) {
 		t.Fatalf("rows = %d, want 9", len(r.Rows))
 	}
 	for _, row := range r.Rows {
-		if row.MBps <= 0 || row.AggMBps <= 0 {
+		if row.WriteMBps <= 0 || row.AggMBps <= 0 {
 			t.Fatalf("empty throughput in row %+v", row)
 		}
 		if row.ReadRPCs == 0 {
 			t.Fatalf("row fetched nothing over READ RPCs: %+v", row)
 		}
-		if row.HitRate <= 0 || row.HitRate >= 1 {
-			t.Fatalf("hit rate %.3f outside (0, 1): %+v", row.HitRate, row)
+		if hr := readHitRate(row); hr <= 0 || hr >= 1 {
+			t.Fatalf("hit rate %.3f outside (0, 1): %+v", hr, row)
 		}
 	}
 	// The acceptance criterion: on sequential reads, enhanced readahead
 	// strictly outperforms readahead-off.
-	on, off := r.Throughput("enhanced", "read"), r.Throughput("ra-off", "read")
+	on, off := r.Row("enhanced", "read").WriteMBps, r.Row("ra-off", "read").WriteMBps
 	if on <= off {
 		t.Fatalf("enhanced readahead %.2f MBps not strictly above readahead-off %.2f", on, off)
 	}
@@ -556,14 +577,15 @@ func TestReadSweepShape(t *testing.T) {
 	// The enhanced window must also turn most lookups into hits, while
 	// readahead-off misses on every chunk's first page.
 	for _, row := range r.Rows {
-		switch {
-		case row.Config == "enhanced" && row.HitRate < 0.9:
-			t.Fatalf("enhanced hit rate %.3f, want >= 0.9: %+v", row.HitRate, row)
-		case row.Config == "ra-off" && row.HitRate > 0.6:
-			t.Fatalf("ra-off hit rate %.3f, want <= 0.6: %+v", row.HitRate, row)
+		switch hr := readHitRate(row); {
+		case row.Config == "enhanced" && hr < 0.9:
+			t.Fatalf("enhanced hit rate %.3f, want >= 0.9: %+v", hr, row)
+		case row.Config == "ra-off" && hr > 0.6:
+			t.Fatalf("ra-off hit rate %.3f, want <= 0.6: %+v", hr, row)
 		}
 	}
 	out := r.Render()
+	checkGolden(t, "read", out)
 	for _, want := range []string{"Read path", "readahead", "strictly better: true"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("render missing %q:\n%s", want, out)
@@ -577,29 +599,29 @@ func TestZipfSweepShape(t *testing.T) {
 		t.Fatalf("rows = %d, want 4", len(r.Rows))
 	}
 	for _, skew := range []string{"zipf", "uniform"} {
-		on, off := r.Cell(skew, "on"), r.Cell(skew, "off")
+		on, off := r.Row(skew, "on"), r.Row(skew, "off")
 		if on == nil || off == nil {
 			t.Fatalf("missing %s cells", skew)
 		}
 		// Every cell does real work across the whole op mix.
-		for _, row := range []*ZipfRow{on, off} {
-			if row.AggMBps <= 0 || row.Lookups == 0 || row.Creates == 0 || row.Removes == 0 {
+		for _, row := range []*harness.Result{on, off} {
+			if row.AggMBps <= 0 || row.LookupRPCs == 0 || row.CreateRPCs == 0 || row.RemoveRPCs == 0 {
 				t.Fatalf("hollow cell %+v", row)
 			}
 		}
 		// The acceptance criterion: attribute caching cuts GETATTR RPCs
 		// and raises aggregate throughput vs. ac=0, at either skew.
-		if on.Getattrs >= off.Getattrs {
-			t.Fatalf("%s: %d GETATTRs with the cache, %d without", skew, on.Getattrs, off.Getattrs)
+		if on.GetattrRPCs >= off.GetattrRPCs {
+			t.Fatalf("%s: %d GETATTRs with the cache, %d without", skew, on.GetattrRPCs, off.GetattrRPCs)
 		}
 		if on.AggMBps <= off.AggMBps {
 			t.Fatalf("%s: cache-on %.2f MBps not above cache-off %.2f", skew, on.AggMBps, off.AggMBps)
 		}
-		if on.HitRate <= 0 {
-			t.Fatalf("%s: cache on but hit rate %.3f", skew, on.HitRate)
+		if on.AttrCacheHitRate <= 0 {
+			t.Fatalf("%s: cache on but hit rate %.3f", skew, on.AttrCacheHitRate)
 		}
-		if off.HitRate != 0 {
-			t.Fatalf("%s: cache off but hit rate %.3f", skew, off.HitRate)
+		if off.AttrCacheHitRate != 0 {
+			t.Fatalf("%s: cache off but hit rate %.3f", skew, off.AttrCacheHitRate)
 		}
 	}
 	// Hot-set skew: the popular files keep their cache entries warm, so
@@ -607,16 +629,17 @@ func TestZipfSweepShape(t *testing.T) {
 	// uniform access over the same op count. (Throughput is not compared
 	// across skews — the hot set's real data confounds it; see the
 	// ZipfSweepResult doc.)
-	z, u := r.Cell("zipf", "on"), r.Cell("uniform", "on")
-	if z.HitRate <= u.HitRate {
-		t.Fatalf("zipf hit rate %.3f not above uniform %.3f", z.HitRate, u.HitRate)
+	z, u := r.Row("zipf", "on"), r.Row("uniform", "on")
+	if z.AttrCacheHitRate <= u.AttrCacheHitRate {
+		t.Fatalf("zipf hit rate %.3f not above uniform %.3f", z.AttrCacheHitRate, u.AttrCacheHitRate)
 	}
-	zMeta := z.Lookups + z.Getattrs + z.Creates
-	uMeta := u.Lookups + u.Getattrs + u.Creates
+	zMeta := z.LookupRPCs + z.GetattrRPCs + z.CreateRPCs
+	uMeta := u.LookupRPCs + u.GetattrRPCs + u.CreateRPCs
 	if zMeta >= uMeta {
 		t.Fatalf("zipf spent %d metadata RPCs, uniform %d; skew should save RPCs", zMeta, uMeta)
 	}
 	out := r.Render()
+	checkGolden(t, "zipf", out)
 	for _, want := range []string{"Many-file metadata", "attribute cache:", "hot-set skew:"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("render missing %q:\n%s", want, out)
@@ -632,14 +655,14 @@ func TestCoherenceSweepShape(t *testing.T) {
 	if len(r.Rows) != 3 { // strict, ttl, noac
 		t.Fatalf("rows = %d, want 3", len(r.Rows))
 	}
-	strict, ttl, noac := r.Cell("strict"), r.Cell("ttl"), r.Cell("noac")
+	strict, ttl, noac := r.Row("strict"), r.Row("ttl"), r.Row("noac")
 	if strict == nil || ttl == nil || noac == nil {
 		t.Fatalf("missing mode cells: %+v", r.Rows)
 	}
 	// Every mode moves real data and the writers bump the server's
 	// change attribute; the write mix is identical across modes, so the
 	// bump counts must match exactly.
-	for _, row := range []*CoherenceRow{strict, ttl, noac} {
+	for _, row := range []*harness.Result{strict, ttl, noac} {
 		if row.AggMBps <= 0 || row.ChangeBumps == 0 {
 			t.Fatalf("hollow cell %+v", row)
 		}
@@ -654,8 +677,8 @@ func TestCoherenceSweepShape(t *testing.T) {
 	if strict.StaleReads != 0 {
 		t.Fatalf("strict mode served %d stale reads, want 0", strict.StaleReads)
 	}
-	if strict.Getattrs <= ttl.Getattrs {
-		t.Fatalf("strict spent %d GETATTRs, not above ttl's %d", strict.Getattrs, ttl.Getattrs)
+	if strict.GetattrRPCs <= ttl.GetattrRPCs {
+		t.Fatalf("strict spent %d GETATTRs, not above ttl's %d", strict.GetattrRPCs, ttl.GetattrRPCs)
 	}
 	// The ttl window bounds staleness strictly below noac's unbounded
 	// trust, without giving up strict's throughput.
@@ -675,6 +698,7 @@ func TestCoherenceSweepShape(t *testing.T) {
 		t.Fatalf("strict revalidations never invalidated a cache")
 	}
 	out := r.Render()
+	checkGolden(t, "coherence", out)
 	for _, want := range []string{"Cache coherence", "strict close-to-open:", "ttl window:"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("render missing %q:\n%s", want, out)
@@ -713,29 +737,30 @@ func TestFleetShape(t *testing.T) {
 		t.Fatalf("client counts %d, %d; want 10, 100", small.Clients, big.Clients)
 	}
 	for _, row := range r.Rows {
-		if row.PerClient <= 0 || row.Aggregate <= 0 || row.ServerNet <= 0 {
+		if row.CloseMBps <= 0 || row.AggMBps <= 0 || row.ServerNetMBps <= 0 {
 			t.Fatalf("empty throughput in row %+v", row)
 		}
 		if row.Fairness <= 0 || row.Fairness > 1 {
 			t.Fatalf("fairness %v out of (0, 1] in row %+v", row.Fairness, row)
 		}
-		if row.SlotWaitShare < 0 || row.SlotWaitShare > 1 {
-			t.Fatalf("slot-wait share %v out of [0, 1] in row %+v", row.SlotWaitShare, row)
+		if share := SlotWaitShare(row); share < 0 || share > 1 {
+			t.Fatalf("slot-wait share %v out of [0, 1] in row %+v", share, row)
 		}
 	}
 	// The server's ingest ceiling is fixed, so ten times the clients get
 	// roughly a tenth of the bandwidth each...
-	if big.PerClient >= small.PerClient/2 {
+	if big.CloseMBps >= small.CloseMBps/2 {
 		t.Fatalf("per-client did not collapse: %d clients %.2f, %d clients %.2f MBps",
-			small.Clients, small.PerClient, big.Clients, big.PerClient)
+			small.Clients, small.CloseMBps, big.Clients, big.CloseMBps)
 	}
 	// ...and requests convoy longer behind the slot table as replies
 	// slow down under the larger fleet.
-	if big.SlotWaitUs <= small.SlotWaitUs {
+	if slotWaitUs(big) <= slotWaitUs(small) {
 		t.Fatalf("slot-wait did not grow: %d clients %.0fus, %d clients %.0fus",
-			small.Clients, small.SlotWaitUs, big.Clients, big.SlotWaitUs)
+			small.Clients, slotWaitUs(small), big.Clients, slotWaitUs(big))
 	}
 	out := r.Render()
+	checkGolden(t, "fleet", out)
 	for _, want := range []string{"Thousand-client fleet", "slot-wait share"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("render missing %q:\n%s", want, out)

@@ -4,6 +4,7 @@ import (
 	"flag"
 	"fmt"
 	"maps"
+	"math"
 	"slices"
 	"strconv"
 	"strings"
@@ -151,7 +152,7 @@ var axes = []axis{
 		field: func(sc *Scenario) *float64 { return &sc.Loss },
 		parse: func(s string) (float64, error) {
 			v, err := strconv.ParseFloat(s, 64)
-			if err != nil || v < 0 || v >= 1 {
+			if err != nil || math.IsNaN(v) || v < 0 || v >= 1 {
 				return 0, fmt.Errorf("harness: bad loss rate %q (want a probability in [0, 1))", s)
 			}
 			return v, nil
@@ -200,7 +201,7 @@ var axes = []axis{
 				return bonnie.ZipfUniform, nil
 			}
 			v, err := strconv.ParseFloat(s, 64)
-			if err != nil || (v < 0 && v != bonnie.ZipfUniform) {
+			if err != nil || math.IsNaN(v) || math.IsInf(v, 0) || (v < 0 && v != bonnie.ZipfUniform) {
 				return 0, fmt.Errorf("harness: bad zipf exponent %q (want a non-negative number or \"uniform\")", s)
 			}
 			return v, nil

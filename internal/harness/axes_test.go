@@ -64,6 +64,12 @@ func TestAxisValueValidation(t *testing.T) {
 			t.Errorf("-%s %q accepted", flagName, bad)
 		}
 	}
+	// Non-finite numbers fail the range checks too.
+	for _, bad := range [][2]string{{"loss", "NaN"}, {"zipf-s", "NaN"}, {"zipf-s", "+Inf"}} {
+		if _, err := parseAxis(bad[0], bad[1]); err == nil {
+			t.Errorf("-%s %q accepted", bad[0], bad[1])
+		}
+	}
 	g, err := parseAxis("jumbo", "both")
 	if err != nil || !reflect.DeepEqual(g.Jumbo, []bool{false, true}) {
 		t.Fatalf("-jumbo both = %v, %v", g.Jumbo, err)
