@@ -6,9 +6,9 @@
 //	nfstrace fig3 > fig3.csv
 //	nfstrace fig4 > fig4.csv
 //
-// A custom run can be assembled with flags, driving any workload the
-// benchmark supports (write, rewrite, read, mixed, randread, randwrite,
-// db):
+// A custom run can be assembled with flags, spelled as nfssweep spells
+// the same axes (-servers, -configs, -workload, -sizes), driving any
+// workload the benchmark supports:
 //
 //	nfstrace -server linux -client stock -mb 40 custom
 //	nfstrace -client enhanced -workload read -mb 40 custom
@@ -25,20 +25,20 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strconv"
 	"strings"
 	"time"
 
-	nfssim "repro"
-	"repro/internal/bonnie"
-	"repro/internal/core"
 	"repro/internal/experiments"
+	"repro/internal/harness"
+	"repro/internal/stats"
 )
 
 var (
-	serverFlag   = flag.String("server", "filer", "server: filer, linux, slow100")
+	serverFlag   = flag.String("server", "filer", "server: filer, linux, slow100, local")
 	clientFlag   = flag.String("client", "stock", "client: stock, nolimits, hash, enhanced")
 	mbFlag       = flag.Int("mb", 40, "file size in MB")
-	workloadFlag = flag.String("workload", "write", "workload for custom runs: write, rewrite, read, mixed, randread, randwrite, db")
+	workloadFlag = flag.String("workload", "write", "workload for custom runs: write, rewrite, read, mixed, randread, randwrite, db, zipf, shared")
 )
 
 // subcommands lists every trace this command can emit, in display order.
@@ -55,17 +55,17 @@ func traceCSV(name string) (string, error) {
 	case "fig4":
 		return experiments.Fig4().Result.Trace.CSV(), nil
 	case "custom":
-		res, err := custom(*serverFlag, *clientFlag, *workloadFlag, *mbFlag)
+		tr, err := custom(*serverFlag, *clientFlag, *workloadFlag, *mbFlag)
 		if err != nil {
 			return "", err
 		}
-		return res.Trace.CSV(), nil
+		return tr.CSV(), nil
 	case "read":
-		res, err := custom("filer", "enhanced", "read", *mbFlag)
+		tr, err := custom("filer", "enhanced", "read", *mbFlag)
 		if err != nil {
 			return "", err
 		}
-		return res.Trace.CSV(), nil
+		return tr.CSV(), nil
 	}
 	return "", fmt.Errorf("unknown trace %q", name)
 }
@@ -96,42 +96,16 @@ func main() {
 	fmt.Print(out)
 }
 
-// custom assembles a test bed from names and runs one benchmark,
-// returning its per-call latency trace.
-func custom(server, client, workload string, mb int) (*bonnie.Result, error) {
-	var srv nfssim.ServerKind
-	switch server {
-	case "filer":
-		srv = nfssim.ServerFiler
-	case "linux":
-		srv = nfssim.ServerLinux
-	case "slow100":
-		srv = nfssim.ServerSlow100
-	default:
-		return nil, fmt.Errorf("unknown server %q", server)
-	}
-	var cfg core.Config
-	switch client {
-	case "stock":
-		cfg = core.Stock244Config()
-	case "nolimits":
-		cfg = core.NoLimitsConfig()
-	case "hash":
-		cfg = core.HashConfig()
-	case "enhanced":
-		cfg = core.EnhancedConfig()
-	default:
-		return nil, fmt.Errorf("unknown client %q", client)
-	}
-	wl, err := bonnie.ParseWorkload(workload)
+// custom runs one benchmark named by the sweep's axis spellings (the
+// write phase only) and returns its per-call latency trace.
+func custom(server, client, workload string, mb int) (*stats.Trace, error) {
+	sc, err := harness.FleetScenario(map[string]string{
+		"server": server, "config": client, "workload": workload, "file_mb": strconv.Itoa(mb),
+	})
 	if err != nil {
 		return nil, err
 	}
-	tb := nfssim.NewTestbed(nfssim.Options{Server: srv, Client: cfg})
-	return bonnie.RunWorkload(tb.Sim, "custom", tb.OpenSet(), bonnie.Config{
-		FileSize:       int64(mb) << 20,
-		Workload:       wl,
-		TimeLimit:      time.Hour,
-		SkipFlushClose: true,
-	}), nil
+	sc.SkipFlushClose = true
+	sc.TimeLimit = time.Hour
+	return harness.RunScenario(sc).Trace, nil
 }

@@ -627,9 +627,11 @@ func chunkCount(cfg Config) int {
 	return int((cfg.FileSize + int64(cfg.ChunkSize) - 1) / int64(cfg.ChunkSize))
 }
 
-// normalize fills Config defaults shared by RunWorkload and
-// RunConcurrentWorkload.
+// normalize checks cfg and fills its defaults.
 func normalize(cfg Config) Config {
+	if cfg.FileSize <= 0 {
+		panic("bonnie: FileSize must be positive")
+	}
 	if cfg.ChunkSize == 0 {
 		cfg.ChunkSize = DefaultChunk
 	}
@@ -826,7 +828,8 @@ func finishPhases(p *sim.Proc, s *sim.Sim, fs ioFiles, cfg Config, res *Result, 
 // ... from separate client CPUs"). open receives the worker index, so
 // workers can land on distinct files of one machine or on distinct
 // client machines of a multi-client test bed. Each worker runs the full
-// I/O/flush/close sequence.
+// I/O/flush/close sequence. A lone worker's Target is target itself;
+// with several, worker i's is target#i.
 func RunConcurrentWorkload(s *sim.Sim, target string, open func(worker int) vfs.OpenSet, n int, cfg Config) *ConcurrentResult {
 	if n < 1 {
 		panic("bonnie: need at least one writer")
@@ -837,9 +840,12 @@ func RunConcurrentWorkload(s *sim.Sim, target string, open func(worker int) vfs.
 	finished := 0
 	start := s.Now()
 	for i := 0; i < n; i++ {
-		i := i
+		name := target
+		if n > 1 {
+			name = fmt.Sprintf("%s#%d", target, i)
+		}
 		res := &Result{
-			Target:    fmt.Sprintf("%s#%d", target, i),
+			Target:    name,
 			Workload:  cfg.Workload,
 			FileSize:  cfg.FileSize,
 			ChunkSize: cfg.ChunkSize,
@@ -874,33 +880,9 @@ func RunConcurrent(s *sim.Sim, target string, open func(writer int) vfs.File, n 
 
 // RunWorkload executes the configured workload on the given simulator
 // against files opened from open, driving the virtual clock until the
-// run completes.
+// run completes: RunConcurrentWorkload with one worker.
 func RunWorkload(s *sim.Sim, target string, open vfs.OpenSet, cfg Config) *Result {
-	if cfg.FileSize <= 0 {
-		panic("bonnie: FileSize must be positive")
-	}
-	cfg = normalize(cfg)
-	cfg.workers = 1
-	res := &Result{
-		Target:    target,
-		Workload:  cfg.Workload,
-		FileSize:  cfg.FileSize,
-		ChunkSize: cfg.ChunkSize,
-		Trace:     stats.NewTrace(target),
-	}
-	finished := false
-	s.Go("bonnie", func(p *sim.Proc) {
-		fs := openFiles(open, cfg)
-		start := s.Now()
-		runIO(p, s, 0, fs, cfg, res)
-		finishPhases(p, s, fs, cfg, res, start)
-		finished = true
-	})
-	s.Run(cfg.TimeLimit)
-	if !finished {
-		panic(fmt.Sprintf("bonnie: %s run did not finish within %v (virtual)", target, cfg.TimeLimit))
-	}
-	return res
+	return RunConcurrentWorkload(s, target, func(int) vfs.OpenSet { return open }, 1, cfg).PerWriter[0]
 }
 
 // Run executes the write benchmark against a fresh file opened by open

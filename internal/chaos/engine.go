@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	nfssim "repro"
+	"repro/internal/core"
 	"repro/internal/harness"
 	"repro/internal/rpcsim"
 	"repro/internal/server"
@@ -35,23 +36,21 @@ type Report struct {
 	Asserts  []AssertResult
 	Failed   bool
 
-	// Recovery accounting, gathered from the test bed after the run.
-	LostBytes      int64
-	ReplayedBytes  int64
-	RewrittenBytes int64
-	VerfChanges    int64
-	Crashes        int64
-	MajorTimeouts  int64
-	BadReplies     int64
-	Retransmits    int64
+	// Recovery accounting, gathered from the test bed after the run
+	// (also when it errored, unlike Result).
+	LostBytes     int64
+	ReplayedBytes int64
+	Crashes       int64
+	MajorTimeouts int64
+	BadReplies    int64
+	Retransmits   int64
 
-	// Coherence accounting for shared-file scenarios: cached reads served
-	// under a stale open, page-cache invalidations, and client-observed
-	// change-attribute regressions (which a crash/restart must keep at
-	// zero — the counter never runs backwards).
-	StaleReads        int64
-	Invalidations     int64
-	ChangeRegressions int64
+	// Counters are the client counters summed over the fleet: the
+	// recovery ones (RewrittenBytes, VerfChanges) and, for shared-file
+	// scenarios, the coherence ones (StaleReads, Invalidations, and
+	// ChangeRegressions, which a crash/restart must keep at zero — the
+	// change counter never runs backwards).
+	core.Counters
 }
 
 // Run executes one scenario: build the fleet, schedule the timed events
@@ -184,11 +183,7 @@ func (r *Report) gather(tb *nfssim.Testbed) {
 	r.Crashes = tb.Server.Crashes
 	for _, m := range tb.Machines {
 		if m.Client != nil {
-			r.RewrittenBytes += m.Client.RewrittenBytes
-			r.VerfChanges += m.Client.VerfChanges
-			r.StaleReads += m.Client.StaleReads
-			r.Invalidations += m.Client.Invalidations
-			r.ChangeRegressions += m.Client.ChangeRegressions
+			r.Counters.Add(&m.Client.Counters)
 		}
 		if m.Transport != nil {
 			st := m.Transport.Stats()

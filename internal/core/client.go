@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 
 	"repro/internal/mm"
 	"repro/internal/nfsproto"
@@ -53,32 +54,39 @@ type Client struct {
 
 	flushWork *sim.WaitQueue
 
-	// Statistics. RPCsSent/PagesSent count the write path; the read path
-	// has its own counters.
-	SoftFlushes int64 // writer-forced whole-inode flushes (soft limit)
-	HardBlocks  int64 // writer sleeps on the per-mount hard limit
-	RPCsSent    int64
-	PagesSent   int64
-	// ReadRPCs counts READ calls issued (demand and readahead);
-	// PagesReadRPC counts the pages they fetched.
-	ReadRPCs     int64
-	PagesReadRPC int64
+	Counters
+}
+
+// Counters are a client's event counts, declared once: core.Client,
+// harness.Result and chaos.Report embed them, Add sums them across
+// machines, and the JSON tags are the per-run result keys. A new counter
+// is one int64 field here.
+type Counters struct {
+	SoftFlushes int64 `json:"soft_flushes"` // writer-forced whole-inode flushes (soft limit)
+	HardBlocks  int64 `json:"hard_blocks"`  // writer sleeps on the per-mount hard limit
+	// RPCsSent/PagesSent count WRITE calls and the pages they carried;
+	// ReadRPCs/PagesRead count READ calls (demand and readahead) and the
+	// pages they fetched.
+	RPCsSent  int64 `json:"rpcs_sent"`
+	PagesSent int64 `json:"pages_sent"`
+	ReadRPCs  int64 `json:"read_rpcs"`
+	PagesRead int64 `json:"pages_read"`
 	// CommitRPCs counts COMMIT calls issued (fsync/close durability after
 	// UNSTABLE write replies — the group-commit cost §3.6 is about).
-	CommitRPCs int64
+	CommitRPCs int64 `json:"commit_rpcs"`
 	// Metadata-path counters: RPCs by procedure, plus how often the
 	// attribute cache answered a name resolution without one.
-	LookupRPCs      int64
-	GetattrRPCs     int64
-	CreateRPCs      int64
-	RemoveRPCs      int64
-	AttrCacheHits   int64
-	AttrCacheMisses int64
+	LookupRPCs      int64 `json:"lookup_rpcs"`
+	GetattrRPCs     int64 `json:"getattr_rpcs"`
+	CreateRPCs      int64 `json:"create_rpcs"`
+	RemoveRPCs      int64 `json:"remove_rpcs"`
+	AttrCacheHits   int64 `json:"attr_cache_hits"`
+	AttrCacheMisses int64 `json:"attr_cache_misses"`
 	// Crash-recovery counters: VerfChanges counts observed write-verifier
 	// changes (server reboots); RewrittenBytes counts unstable bytes
 	// re-queued for rewrite because the acking server instance died.
-	VerfChanges    int64
-	RewrittenBytes int64
+	VerfChanges    int64 `json:"verf_changes"`
+	RewrittenBytes int64 `json:"rewritten_bytes"`
 	// Coherence counters. StaleReads counts page-cache hits served while
 	// the open had skipped revalidation and the server ground truth
 	// (changeProbe) already held a newer change attribute — reads a
@@ -88,9 +96,25 @@ type Client struct {
 	// whose change attribute ran backwards from what this client had
 	// already seen (out-of-order replies; a server losing state would
 	// also show up here).
-	StaleReads        int64
-	Invalidations     int64
-	ChangeRegressions int64
+	StaleReads        int64 `json:"stale_reads"`
+	Invalidations     int64 `json:"invalidations"`
+	ChangeRegressions int64 `json:"change_regressions"`
+}
+
+// Add sums o into c field by field (every field is an int64).
+func (c *Counters) Add(o *Counters) {
+	dst, src := reflect.ValueOf(c).Elem(), reflect.ValueOf(o).Elem()
+	for i := range dst.NumField() {
+		f := dst.Field(i)
+		f.SetInt(f.Int() + src.Field(i).Int())
+	}
+}
+
+// RPCs counts every RPC the client issued: WRITE, READ, COMMIT and the
+// metadata procedures.
+func (c *Counters) RPCs() int64 {
+	return c.RPCsSent + c.ReadRPCs + c.CommitRPCs +
+		c.LookupRPCs + c.GetattrRPCs + c.CreateRPCs + c.RemoveRPCs
 }
 
 // Inode is one file's client-side write state (struct inode + nfs_inode).
@@ -115,9 +139,10 @@ type Inode struct {
 	hasChange  bool
 	staleOpen  bool
 
-	// reqs is the sorted pending-request list; hash is the fix-2 index.
+	// reqs is the sorted pending-request list. It holds at most one
+	// request per page, so it also answers fix 2's hash lookups; the
+	// policy only selects which cost a lookup is charged.
 	reqs reqList
-	hash map[int64]*Request
 
 	inflightPages int
 	flushWait     *sim.WaitQueue
@@ -154,12 +179,6 @@ type Inode struct {
 func NewClient(s *sim.Sim, cpu *sim.CPUPool, bkl *sim.Mutex, cache *mm.PageCache, tr *rpcsim.Transport, cfg Config) *Client {
 	if cfg.WSize < pageSize || cfg.WSize%pageSize != 0 {
 		panic("core: wsize must be a positive multiple of the page size")
-	}
-	if cfg.RSize == 0 {
-		cfg.RSize = cfg.WSize // the paper mounts with rsize=wsize
-	}
-	if cfg.RSize < pageSize || cfg.RSize%pageSize != 0 {
-		panic("core: rsize must be a positive multiple of the page size")
 	}
 	if cfg.ReadaheadMinPages == 0 && cfg.ReadaheadMaxPages == 0 {
 		cfg.ReadaheadMinPages = StockReadaheadMinPages
@@ -220,9 +239,6 @@ func (c *Client) Open() *File {
 		FH:        nfsproto.MakeFileHandle(c.cfg.FSID, c.nextFH),
 		flushWait: c.s.NewWaitQueue("nfs-inode-flush"),
 	}
-	if c.cfg.IndexPolicy == IndexHashTable {
-		ino.hash = make(map[int64]*Request)
-	}
 	c.inodes = append(c.inodes, ino)
 	return &File{c: c, ino: ino}
 }
@@ -257,13 +273,12 @@ func (c *Client) releaseInode(ino *Inode) {
 		panic("core: releasing an inode with outstanding requests")
 	}
 	c.removeFromTable(ino)
-	// Drop the resident-page set and the fix-2 index even if the File
-	// object lingers in caller hands (reads/writes after close panic
-	// anyway). pendingReads and readWait stay: trailing readahead RPCs
-	// the reader never waited for may still be in flight, and their
-	// readDone completions must land harmlessly.
+	// Drop the resident-page set even if the File object lingers in
+	// caller hands (reads/writes after close panic anyway). pendingReads
+	// and readWait stay: trailing readahead RPCs the reader never waited
+	// for may still be in flight, and their readDone completions must
+	// land harmlessly.
 	ino.cached = rangeset.Set{}
-	ino.hash = nil
 }
 
 // removeFromTable takes an inode out of the flushd scan table. Ordered
@@ -284,12 +299,11 @@ func (c *Client) removeFromTable(ino *Inode) {
 }
 
 // closeInode is the last-close bookkeeping. Anonymous inodes (Open)
-// are fully released: pages dropped, index freed. Named inodes
-// (OpenByName) behave like the kernel's inode cache instead: the final
-// close removes the file from flushd's scan table but keeps its
-// resident pages, fix-2 index and change-attribute state for the next
-// open of the same name — which is what makes cross-client staleness
-// observable at all. A named inode whose name no longer resolves to it
+// are fully released: pages dropped. Named inodes (OpenByName) behave
+// like the kernel's inode cache instead: the final close removes the
+// file from flushd's scan table but keeps its resident pages and
+// change-attribute state for the next open of the same name — which is
+// what makes cross-client staleness observable at all. A named inode whose name no longer resolves to it
 // (unlinked, possibly re-created, while open) is released like an
 // anonymous one.
 func (c *Client) closeInode(ino *Inode) {
@@ -330,9 +344,6 @@ func (c *Client) namedInode(name string, fh nfsproto.FileHandle) *Inode {
 		name:      name,
 		refs:      1,
 		flushWait: c.s.NewWaitQueue("nfs-inode-flush"),
-	}
-	if c.cfg.IndexPolicy == IndexHashTable {
-		ino.hash = make(map[int64]*Request)
 	}
 	c.namedInodes[name] = ino
 	c.inodes = append(c.inodes, ino)
@@ -383,18 +394,17 @@ func (c *Client) noteChange(ino *Inode, attrs nfsproto.FileAttrs) {
 // the per-inode count MAX_REQUEST_SOFT bounds.
 func (ino *Inode) Outstanding() int { return ino.reqs.Len() + ino.inflightPages }
 
-// lookupCost charges one _nfs_find_request-equivalent lookup for the
-// given inode and returns the located request, if any.
+// lookup charges one _nfs_find_request-equivalent lookup for the given
+// inode — a hash probe under fix 2, the list scan otherwise — and
+// returns the located request, if any.
 func (c *Client) lookup(p *sim.Proc, ino *Inode, page int64) *Request {
-	switch c.cfg.IndexPolicy {
-	case IndexHashTable:
+	r, scanned := ino.reqs.Find(page)
+	if c.cfg.IndexPolicy == IndexHashTable {
 		c.cpu.Use(p, "nfs_find_request(hash)", c.cfg.Costs.HashLookup)
-		return ino.hash[page]
-	default:
-		r, scanned := ino.reqs.Find(page)
+	} else {
 		c.cpu.Use(p, "nfs_find_request", sim.Time(scanned)*c.cfg.Costs.ListScanPerEntry)
-		return r
 	}
+	return r
 }
 
 // commitPage is nfs_commit_write: record one page-sized request under the
@@ -422,13 +432,9 @@ func (c *Client) commitPage(p *sim.Proc, ino *Inode, page int64, offset, count i
 		c.cpu.Use(p, "nfs_update_request", c.cfg.Costs.UpdateRequestBase)
 		ino.markResident(page)
 		if existing == nil {
-			r := &Request{Page: page, Offset: offset, Count: count, CreatedAt: c.s.Now()}
-			if c.cfg.IndexPolicy == IndexHashTable {
-				ino.hash[page] = r
-				ino.reqs.Insert(r)
-			} else {
+			scanned := ino.reqs.Insert(&Request{Page: page, Offset: offset, Count: count, CreatedAt: c.s.Now()})
+			if c.cfg.IndexPolicy != IndexHashTable {
 				// The real code walks the sorted list again to insert.
-				scanned := ino.reqs.Insert(r)
 				c.cpu.Use(p, "nfs_update_request(scan)", sim.Time(scanned)*c.cfg.Costs.ListScanPerEntry)
 			}
 			c.mountRequests++
@@ -542,11 +548,6 @@ func (c *Client) sendOne(p *sim.Proc, ino *Inode, ticket *flushTicket) int {
 	if len(run) == 0 {
 		c.bkl.Unlock(p)
 		return 0
-	}
-	if c.cfg.IndexPolicy == IndexHashTable {
-		for _, r := range run {
-			delete(ino.hash, r.Page)
-		}
 	}
 	ino.inflightPages += len(run)
 	c.bkl.Unlock(p)
@@ -680,13 +681,7 @@ func (c *Client) redirtyUnstable(ino *Inode) int64 {
 // existing request on the page is widened to the union (no flush of
 // "incompatible" requests is possible in event context).
 func (c *Client) queueRewrite(ino *Inode, page int64, offset, count int) {
-	var existing *Request
-	if c.cfg.IndexPolicy == IndexHashTable {
-		existing = ino.hash[page]
-	} else {
-		existing, _ = ino.reqs.Find(page)
-	}
-	if existing != nil {
+	if existing, _ := ino.reqs.Find(page); existing != nil {
 		before := existing.Count
 		if offset < existing.Offset {
 			existing.Count += existing.Offset - offset
@@ -700,11 +695,7 @@ func (c *Client) queueRewrite(ino *Inode, page int64, offset, count int) {
 		}
 		return
 	}
-	r := &Request{Page: page, Offset: offset, Count: count, CreatedAt: c.s.Now()}
-	if c.cfg.IndexPolicy == IndexHashTable {
-		ino.hash[page] = r
-	}
-	ino.reqs.Insert(r)
+	ino.reqs.Insert(&Request{Page: page, Offset: offset, Count: count, CreatedAt: c.s.Now()})
 	c.mountRequests++
 	if c.cfg.FlushPolicy == FlushCacheAll {
 		c.cache.ForceDirty(int64(count))

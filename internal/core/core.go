@@ -56,7 +56,8 @@ const (
 	// scanned linearly on every lookup.
 	IndexLinearList IndexPolicy = iota
 	// IndexHashTable is fix 2: a hash table keyed by (inode, page offset)
-	// supplements the list, making lookups O(1).
+	// supplements the list, making lookups O(1). It is modeled by its
+	// cost (Costs.HashLookup); the simulator finds requests in the list.
 	IndexHashTable
 )
 
@@ -193,11 +194,9 @@ func DefaultCosts() Costs {
 
 // Config selects the client's policies and parameters.
 type Config struct {
-	WSize int
-	// RSize is the mount's read transfer size (rsize). Zero means "track
-	// WSize", which keeps rsize=wsize through wsize-axis sweeps the way
-	// the paper's mounts were configured.
-	RSize          int
+	// WSize is the mount's transfer size for WRITE and READ alike: the
+	// paper mounts with rsize=wsize.
+	WSize          int
 	MaxRequestSoft int
 	MaxRequestHard int
 	FlushPolicy    FlushPolicy

@@ -79,7 +79,7 @@ func (c *Client) readPage(p *sim.Proc, ino *Inode, page int64) {
 	// Demand chunk plus the readahead window, all as async READs; the
 	// reader only waits for the page it needs, so the window's fetches
 	// overlap with consumption of earlier pages.
-	c.sendReads(p, ino, page, c.cfg.RSize/pageSize+ahead)
+	c.sendReads(p, ino, page, c.cfg.WSize/pageSize+ahead)
 	for !ino.resident(page) {
 		ino.readWait.Wait(p)
 	}
@@ -91,7 +91,7 @@ func (c *Client) readPage(p *sim.Proc, ino *Inode, page int64) {
 // the transport's slot table — RPC slots are the readahead's natural
 // throttle, as in the 2.4 client.
 func (c *Client) sendReads(p *sim.Proc, ino *Inode, start int64, pages int) {
-	pagesPerRPC := c.cfg.RSize / pageSize
+	pagesPerRPC := c.cfg.WSize / pageSize // rsize = wsize
 	end := start + int64(pages)
 	if last := (ino.size + pageSize - 1) / pageSize; end > last {
 		end = last
@@ -126,7 +126,7 @@ func (c *Client) sendReadRPC(p *sim.Proc, ino *Inode, page int64, pages int) {
 	}
 	args := nfsproto.ReadArgs{File: ino.FH, Offset: uint64(off), Count: uint32(count)}
 	c.ReadRPCs++
-	c.PagesReadRPC += int64(pages)
+	c.PagesRead += int64(pages)
 	c.tr.Call(p, nfsproto.ProcRead, args.Encode, func(d *xdr.Decoder) {
 		c.readDone(ino, page, pages, int(count), d)
 	})

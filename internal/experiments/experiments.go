@@ -1100,19 +1100,13 @@ func Jumbo() *JumboResult {
 	return r
 }
 
-// totalRPCs counts every RPC a run's client machines issued.
-func totalRPCs(r harness.Result) int64 {
-	return r.RPCsSent + r.ReadRPCs + r.CommitRPCs +
-		r.LookupRPCs + r.GetattrRPCs + r.CreateRPCs + r.RemoveRPCs
-}
-
 // SlotWaitShare is the share of a run's RPCs that found their client's
 // slot table full. As a fleet grows the server becomes the bottleneck,
 // replies slow down, slots stay occupied longer, and new requests
 // convoy behind them — the client-visible signature of server
 // saturation.
 func SlotWaitShare(r harness.Result) float64 {
-	if total := totalRPCs(r); total > 0 {
+	if total := r.RPCs(); total > 0 {
 		return float64(r.SlotWaits) / float64(total)
 	}
 	return 0

@@ -1,11 +1,14 @@
 package harness
 
 import (
+	"encoding/json"
 	"fmt"
+	"maps"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -744,5 +747,43 @@ func TestSubMBCacheLimitsDoNotAlias(t *testing.T) {
 		if a.CacheBytes != scens[i].CacheLimit {
 			t.Fatalf("cell %d cache bytes %d, want %d", i, a.CacheBytes, scens[i].CacheLimit)
 		}
+	}
+}
+
+// TestResultJSONKeys pins the per-run JSON schema documented in
+// docs/experiments.md: renaming or dropping a key fails here. The client
+// counters come from core.Counters, so a new counter must be added to
+// this list (and to the docs) on purpose.
+func TestResultJSONKeys(t *testing.T) {
+	want := []string{
+		"name", "server", "config", "file_mb", "wsize", "cpus", "cache_mb", "jumbo", "seed", "repeat",
+		"calls", "write_mbps", "write_kbps", "flush_mbps", "close_mbps",
+		"mean_lat_us", "median_lat_us", "p95_lat_us", "p99_lat_us", "max_lat_us",
+		"soft_flushes", "hard_blocks", "rpcs_sent", "pages_sent", "read_rpcs", "pages_read",
+		"commit_rpcs", "lookup_rpcs", "getattr_rpcs", "create_rpcs", "remove_rpcs",
+		"attr_cache_hits", "attr_cache_misses", "verf_changes", "rewritten_bytes",
+		"stale_reads", "invalidations", "change_regressions",
+		"retransmits", "transport", "loss", "dup_replies", "lost_frames",
+		"workload", "read_hits", "read_misses", "fsync_count", "fsync_us",
+		"attr_cache_hit_rate", "server_net_mbps", "send_cpu_us",
+		"clients", "cache_bytes", "agg_mbps", "fairness", "min_client_mbps", "max_client_mbps",
+		"consistency", "change_bumps", "slot_waits", "slot_wait_us", "per_client_mbps",
+	}
+	b, err := json.Marshal(Result{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fields map[string]any
+	if err := json.Unmarshal(b, &fields); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range want {
+		if _, ok := fields[k]; !ok {
+			t.Errorf("Result JSON lacks %q", k)
+		}
+		delete(fields, k)
+	}
+	if len(fields) > 0 {
+		t.Errorf("Result JSON has unlisted keys %v", slices.Sorted(maps.Keys(fields)))
 	}
 }

@@ -42,9 +42,11 @@ type Result struct {
 	P99LatUs    float64 `json:"p99_lat_us"`
 	MaxLatUs    float64 `json:"max_lat_us"`
 
-	SoftFlushes int64 `json:"soft_flushes"` // writer-forced whole-inode flushes
-	HardBlocks  int64 `json:"hard_blocks"`  // writer sleeps on the mount hard limit
-	RPCsSent    int64 `json:"rpcs_sent"`
+	// Counters are the client counters summed over all client machines
+	// (soft_flushes, rpcs_sent, read_rpcs, lookup_rpcs, stale_reads, ...;
+	// only soft_flushes, hard_blocks and rpcs_sent are CSV columns).
+	core.Counters
+
 	Retransmits int64 `json:"retransmits"`
 
 	// Transport axes (JSON only; the CSV schema is frozen, and these
@@ -63,31 +65,20 @@ type Result struct {
 	// ReadHits/ReadMisses are page-cache read lookups across all client
 	// machines; a miss includes pages whose fetch was already in flight.
 	Workload   string `json:"workload"`
-	ReadRPCs   int64  `json:"read_rpcs"`
 	ReadHits   int64  `json:"read_hits"`
 	ReadMisses int64  `json:"read_misses"`
 
 	// Durability results (JSON only; the CSV schema is frozen).
-	// CommitRPCs counts COMMIT calls across all client machines (fsync or
-	// close after UNSTABLE write replies); FsyncCount/FsyncUs are the
-	// group-commit flushes the FsyncEvery cadence issued during the I/O
-	// phase and the total virtual time spent inside them, summed over
-	// writers.
-	CommitRPCs int64   `json:"commit_rpcs"`
+	// FsyncCount/FsyncUs are the group-commit flushes the FsyncEvery
+	// cadence issued during the I/O phase and the total virtual time
+	// spent inside them, summed over writers.
 	FsyncCount int64   `json:"fsync_count"`
 	FsyncUs    float64 `json:"fsync_us"`
 
-	// Metadata-path results (JSON only; the CSV schema is frozen). RPC
-	// counters sum over all client machines; the hit rate is hits over
-	// all attribute-cache consultations (0 when the workload never
-	// consults it). The zipf axes (file count, skew, mix, ac timeout)
-	// appear in Name at non-default values.
-	LookupRPCs       int64   `json:"lookup_rpcs"`
-	GetattrRPCs      int64   `json:"getattr_rpcs"`
-	CreateRPCs       int64   `json:"create_rpcs"`
-	RemoveRPCs       int64   `json:"remove_rpcs"`
-	AttrCacheHits    int64   `json:"attr_cache_hits"`
-	AttrCacheMisses  int64   `json:"attr_cache_misses"`
+	// AttrCacheHitRate is attribute-cache hits over all consultations (0
+	// when the workload never consults it; JSON only). The zipf axes
+	// (file count, skew, mix, ac timeout) appear in Name at non-default
+	// values.
 	AttrCacheHitRate float64 `json:"attr_cache_hit_rate"`
 
 	ServerNetMBps float64 `json:"server_net_mbps"` // sustained server ingest
@@ -108,17 +99,11 @@ type Result struct {
 
 	// Cache-coherence results (JSON only; the CSV schema is frozen). The
 	// consistency mode, writer percentage, and read lag also appear in
-	// Name at non-default values. StaleReads counts page-cache hits
-	// served during opens that skipped revalidation while the server's
-	// change counter had already moved on; Invalidations counts cached
-	// inodes dropped on change mismatch (WCC pre-op or open-time
-	// revalidation); ChangeBumps is the server's total change-attribute
-	// increments — the ground-truth write traffic the clients' counters
-	// are judged against.
-	Consistency   string `json:"consistency"`
-	StaleReads    int64  `json:"stale_reads"`
-	Invalidations int64  `json:"invalidations"`
-	ChangeBumps   int64  `json:"change_bumps"`
+	// Name at non-default values. ChangeBumps is the server's total
+	// change-attribute increments — the ground-truth write traffic the
+	// clients' stale_reads and invalidations are judged against.
+	Consistency string `json:"consistency"`
+	ChangeBumps int64  `json:"change_bumps"`
 
 	// Slot-table convoying (JSON only; the CSV schema is frozen).
 	// SlotWaits counts RPCs across all client machines that found their
@@ -232,49 +217,31 @@ func RunScenarioOn(sc Scenario, prepare func(*nfssim.Testbed)) Result {
 		Scenario: sc,
 	}
 
-	if clients == 1 {
-		res := bonnie.RunWorkload(tb.Sim, sc.Name(), tb.OpenSet(), bcfg)
-		out.Calls = res.Calls
-		out.WriteMBps = res.WriteMBps()
-		out.WriteKBps = res.WriteKBps()
-		out.FlushMBps = res.FlushMBps()
-		out.CloseMBps = res.CloseMBps()
-		out.FsyncCount = int64(res.FsyncCount)
-		out.FsyncUs = usec(res.FsyncTime)
-		out.Trace = res.Trace
-		out.AggMBps = clientMBps(res, sc.SkipFlushClose)
-		out.PerClientMBps = []float64{out.AggMBps}
-		out.MinClientMBps, out.MaxClientMBps = out.AggMBps, out.AggMBps
-		out.Fairness = 1
-	} else {
-		res := bonnie.RunConcurrentWorkload(tb.Sim, sc.Name(),
-			func(i int) vfs.OpenSet { return tb.Machine(i).OpenSet() }, clients, bcfg)
-		trace := stats.NewTrace(sc.Name())
-		var writeSum, kbSum, flushSum, closeSum float64
-		for _, w := range res.PerWriter {
-			out.Calls += w.Calls
-			writeSum += w.WriteMBps()
-			kbSum += w.WriteKBps()
-			flushSum += w.FlushMBps()
-			closeSum += w.CloseMBps()
-			out.FsyncCount += int64(w.FsyncCount)
-			out.FsyncUs += usec(w.FsyncTime)
-			out.PerClientMBps = append(out.PerClientMBps, clientMBps(w, sc.SkipFlushClose))
-			for _, s := range w.Trace.Samples() {
-				trace.Add(s)
-			}
-		}
-		n := float64(clients)
-		out.WriteMBps = writeSum / n
-		out.WriteKBps = kbSum / n
-		out.FlushMBps = flushSum / n
-		out.CloseMBps = closeSum / n
-		out.Trace = trace
-		out.AggMBps = res.AggregateMBps()
-		out.Fairness = stats.JainFairness(out.PerClientMBps)
-		out.MinClientMBps = slices.Min(out.PerClientMBps)
-		out.MaxClientMBps = slices.Max(out.PerClientMBps)
+	res := bonnie.RunConcurrentWorkload(tb.Sim, sc.Name(),
+		func(i int) vfs.OpenSet { return tb.Machine(i).OpenSet() }, clients, bcfg)
+	traces := make([]*stats.Trace, clients)
+	var writeSum, kbSum, flushSum, closeSum float64
+	for i, w := range res.PerWriter {
+		out.Calls += w.Calls
+		writeSum += w.WriteMBps()
+		kbSum += w.WriteKBps()
+		flushSum += w.FlushMBps()
+		closeSum += w.CloseMBps()
+		out.FsyncCount += int64(w.FsyncCount)
+		out.FsyncUs += usec(w.FsyncTime)
+		out.PerClientMBps = append(out.PerClientMBps, clientMBps(w, sc.SkipFlushClose))
+		traces[i] = w.Trace
 	}
+	n := float64(clients)
+	out.WriteMBps = writeSum / n
+	out.WriteKBps = kbSum / n
+	out.FlushMBps = flushSum / n
+	out.CloseMBps = closeSum / n
+	out.Trace = stats.Concat(sc.Name(), traces)
+	out.AggMBps = res.AggregateMBps()
+	out.Fairness = stats.JainFairness(out.PerClientMBps)
+	out.MinClientMBps = slices.Min(out.PerClientMBps)
+	out.MaxClientMBps = slices.Max(out.PerClientMBps)
 
 	sum := out.Trace.Summary()
 	out.MeanLatUs = usec(sum.Mean)
@@ -287,19 +254,7 @@ func RunScenarioOn(sc Scenario, prepare func(*nfssim.Testbed)) Result {
 
 	for _, m := range tb.Machines {
 		if m.Client != nil {
-			out.SoftFlushes += m.Client.SoftFlushes
-			out.HardBlocks += m.Client.HardBlocks
-			out.RPCsSent += m.Client.RPCsSent
-			out.ReadRPCs += m.Client.ReadRPCs
-			out.CommitRPCs += m.Client.CommitRPCs
-			out.LookupRPCs += m.Client.LookupRPCs
-			out.GetattrRPCs += m.Client.GetattrRPCs
-			out.CreateRPCs += m.Client.CreateRPCs
-			out.RemoveRPCs += m.Client.RemoveRPCs
-			out.AttrCacheHits += m.Client.AttrCacheHits
-			out.AttrCacheMisses += m.Client.AttrCacheMisses
-			out.StaleReads += m.Client.StaleReads
-			out.Invalidations += m.Client.Invalidations
+			out.Counters.Add(&m.Client.Counters)
 		}
 		out.ReadHits += m.Cache.ReadHits
 		out.ReadMisses += m.Cache.ReadMisses

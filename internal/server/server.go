@@ -70,16 +70,10 @@ type Config struct {
 	RecvCPUPerFragment sim.Time
 	// ServiceCPU is per-request protocol processing (decode, cache/NVRAM
 	// management, reply construction). This is the knob that sets a
-	// server's peak ingest rate.
+	// server's peak ingest rate. READ and COMMIT are charged half of it
+	// (no NVRAM log or dirty accounting), the metadata procedures a
+	// quarter (a directory or inode-cache probe and a small reply).
 	ServiceCPU sim.Time
-	// ReadServiceCPU is the READ path's per-request processing (no NVRAM
-	// log or dirty accounting, but a buffer-cache lookup and reply data
-	// setup). Zero falls back to ServiceCPU/2.
-	ReadServiceCPU sim.Time
-	// MetaServiceCPU is the metadata path's per-request processing
-	// (LOOKUP/GETATTR/CREATE/REMOVE: a directory or inode-cache probe and
-	// a small reply, no data movement). Zero falls back to ServiceCPU/4.
-	MetaServiceCPU sim.Time
 	// SendCPU is the reply transmit cost.
 	SendCPU sim.Time
 	// MTU for fragment-count computation; must match the network's.
@@ -308,14 +302,6 @@ func (srv *Server) worker(p *sim.Proc) {
 	}
 }
 
-// metaCPU is the per-request charge for a metadata procedure.
-func (srv *Server) metaCPU() sim.Time {
-	if srv.cfg.MetaServiceCPU != 0 {
-		return srv.cfg.MetaServiceCPU
-	}
-	return srv.cfg.ServiceCPU / 4
-}
-
 // serve handles one request. gen is the server generation that dequeued
 // it: if the server crashes while the request is in service, the computed
 // reply is discarded instead of being sent by the restarted instance.
@@ -337,11 +323,7 @@ func (srv *Server) serve(p *sim.Proc, item rxItem, gen int) {
 		if err != nil {
 			panic(fmt.Sprintf("server %s: bad READ args: %v", srv.cfg.Host, err))
 		}
-		readCPU := srv.cfg.ReadServiceCPU
-		if readCPU == 0 {
-			readCPU = srv.cfg.ServiceCPU / 2
-		}
-		srv.cpu.Use(p, "nfsd_read", readCPU)
+		srv.cpu.Use(p, "nfsd_read", srv.cfg.ServiceCPU/2)
 		res := srv.backend.HandleRead(p, args)
 		if res.Status == nfsproto.NFS3OK {
 			srv.Reads++
@@ -371,7 +353,7 @@ func (srv *Server) serve(p *sim.Proc, item rxItem, gen int) {
 		if err != nil {
 			panic(fmt.Sprintf("server %s: bad LOOKUP args: %v", srv.cfg.Host, err))
 		}
-		srv.cpu.Use(p, "nfsd_lookup", srv.metaCPU())
+		srv.cpu.Use(p, "nfsd_lookup", srv.cfg.ServiceCPU/4)
 		srv.Lookups++
 		res := nfsproto.LookupRes{Status: nfsproto.NFS3ErrNoEnt}
 		if ino, st := srv.ns.Lookup(args.Dir, args.Name); st == nfsproto.NFS3OK {
@@ -383,7 +365,7 @@ func (srv *Server) serve(p *sim.Proc, item rxItem, gen int) {
 		if err != nil {
 			panic(fmt.Sprintf("server %s: bad GETATTR args: %v", srv.cfg.Host, err))
 		}
-		srv.cpu.Use(p, "nfsd_getattr", srv.metaCPU())
+		srv.cpu.Use(p, "nfsd_getattr", srv.cfg.ServiceCPU/4)
 		srv.Getattrs++
 		attrs, st := srv.ns.Getattr(args.File)
 		res := nfsproto.GetattrRes{Status: st, Attrs: attrs}
@@ -393,7 +375,7 @@ func (srv *Server) serve(p *sim.Proc, item rxItem, gen int) {
 		if err != nil {
 			panic(fmt.Sprintf("server %s: bad CREATE args: %v", srv.cfg.Host, err))
 		}
-		srv.cpu.Use(p, "nfsd_create", srv.metaCPU())
+		srv.cpu.Use(p, "nfsd_create", srv.cfg.ServiceCPU/4)
 		srv.Creates++
 		ino, wcc := srv.ns.Create(args.Dir, args.Name)
 		res := nfsproto.CreateRes{Status: nfsproto.NFS3OK, File: ino.fh, Attrs: ino.Attrs(), Wcc: wcc}
@@ -403,7 +385,7 @@ func (srv *Server) serve(p *sim.Proc, item rxItem, gen int) {
 		if err != nil {
 			panic(fmt.Sprintf("server %s: bad REMOVE args: %v", srv.cfg.Host, err))
 		}
-		srv.cpu.Use(p, "nfsd_remove", srv.metaCPU())
+		srv.cpu.Use(p, "nfsd_remove", srv.cfg.ServiceCPU/4)
 		srv.Removes++
 		st, wcc := srv.ns.Remove(args.Dir, args.Name)
 		res := nfsproto.RemoveRes{Status: st, Wcc: wcc}

@@ -25,6 +25,24 @@ type Trace struct {
 // NewTrace returns an empty named trace.
 func NewTrace(name string) *Trace { return &Trace{name: name} }
 
+// Concat returns the traces' samples end to end in one trace named
+// name. A single trace is returned as is (its own name kept), not
+// copied.
+func Concat(name string, traces []*Trace) *Trace {
+	if len(traces) == 1 {
+		return traces[0]
+	}
+	n := 0
+	for _, t := range traces {
+		n += len(t.samples)
+	}
+	samples := make([]time.Duration, 0, n)
+	for _, t := range traces {
+		samples = append(samples, t.samples...)
+	}
+	return &Trace{name: name, samples: samples}
+}
+
 // Name returns the trace's name.
 func (t *Trace) Name() string { return t.name }
 

@@ -110,6 +110,23 @@ func TestSlopeDetectsGrowth(t *testing.T) {
 	}
 }
 
+// Concat returns a lone trace itself (the one-client run copies
+// nothing) and joins several in order, at exact capacity.
+func TestConcat(t *testing.T) {
+	a, b := NewTrace("a"), NewTrace("b")
+	a.Add(us(1))
+	b.Add(us(2))
+	b.Add(us(3))
+	if got := Concat("all", []*Trace{a}); got != a {
+		t.Fatalf("single trace copied: %p, want %p", got, a)
+	}
+	got := Concat("all", []*Trace{a, b})
+	if got.Name() != "all" || got.Len() != 3 || cap(got.Samples()) != 3 ||
+		got.At(0) != us(1) || got.At(1) != us(2) || got.At(2) != us(3) {
+		t.Fatalf("Concat = %q %v (cap %d)", got.Name(), got.Samples(), cap(got.Samples()))
+	}
+}
+
 func TestTraceCSV(t *testing.T) {
 	tr := NewTrace("t")
 	tr.Add(us(150))

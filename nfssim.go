@@ -191,17 +191,9 @@ type Testbed struct {
 
 	// Machines are the client machines, in host order (client0, ...).
 	Machines []*ClientMachine
-
-	// CPU, BKL, Cache, Client, Transport, and LocalDisk alias
-	// Machines[0], the paper's single-client topology. Code that
-	// predates multi-client test beds (and every single-client caller)
-	// reads these directly.
-	CPU       *sim.CPUPool
-	BKL       *sim.Mutex
-	Cache     *mm.PageCache
-	Client    *core.Client
-	Transport *rpcsim.Transport
-	LocalDisk *disksim.Disk
+	// ClientMachine is Machines[0], the paper's single-client topology:
+	// tb.Client, tb.Cache, tb.Open and the rest are machine 0's.
+	*ClientMachine
 
 	// Server is the mounted server's front-end (nil for ServerNone).
 	Server *server.Server
@@ -293,8 +285,9 @@ func NewTestbed(opts Options) *Testbed {
 	case ServerSlow100:
 		tb.Server, tb.Linux = server.NewSlow100(s, net, mtu, opts.Transport)
 		remote = server.HostSlow
-	case ServerNone:
-		tb.alias()
+	}
+	tb.ClientMachine = tb.Machines[0]
+	if opts.Server == ServerNone {
 		return tb
 	}
 
@@ -320,39 +313,8 @@ func NewTestbed(opts Options) *Testbed {
 		// never use it to decide anything.
 		m.Client.SetChangeProbe(tb.Server.Names().Change)
 	}
-	tb.alias()
 	return tb
-}
-
-// alias points the single-machine convenience fields at Machines[0].
-func (tb *Testbed) alias() {
-	m := tb.Machines[0]
-	tb.CPU, tb.BKL, tb.Cache = m.CPU, m.BKL, m.Cache
-	tb.Client, tb.Transport, tb.LocalDisk = m.Client, m.Transport, m.LocalDisk
 }
 
 // Machine returns the i'th client machine.
 func (tb *Testbed) Machine(i int) *ClientMachine { return tb.Machines[i] }
-
-// OpenNFS opens a fresh file on machine 0's NFS mount.
-func (tb *Testbed) OpenNFS() *core.File {
-	if tb.Client == nil {
-		panic("nfssim: test bed has no NFS mount")
-	}
-	return tb.Machines[0].OpenNFS()
-}
-
-// OpenLocal opens a fresh file on machine 0's local ext2 filesystem.
-func (tb *Testbed) OpenLocal() vfs.File { return tb.Machines[0].OpenLocal() }
-
-// Open opens a file on the test bed's configured target: local ext2 for
-// ServerNone, NFS otherwise. Multi-client workloads open on a specific
-// machine via Machine(i).Open instead.
-func (tb *Testbed) Open() vfs.File { return tb.Machines[0].Open() }
-
-// OpenExisting opens a cold, pre-populated file of size bytes on machine
-// 0's configured target (the read workloads' starting point).
-func (tb *Testbed) OpenExisting(size int64) vfs.File { return tb.Machines[0].OpenExisting(size) }
-
-// OpenSet returns machine 0's workload openers.
-func (tb *Testbed) OpenSet() vfs.OpenSet { return tb.Machines[0].OpenSet() }
