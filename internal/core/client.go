@@ -566,7 +566,7 @@ func (c *Client) sendOne(p *sim.Proc, ino *Inode, ticket *flushTicket) int {
 		Offset: uint64(start),
 		Count:  uint32(total),
 		Stable: nfsproto.Unstable,
-		Data:   nfsproto.Zeroes(total),
+		Data:   xdr.Zeroes(total),
 	}
 	pages := len(run)
 	c.RPCsSent++
@@ -725,7 +725,7 @@ func (c *Client) writeSyncSpan(p *sim.Proc, ino *Inode, span vfs.PageSpan) {
 		Offset: uint64(span.Page)*uint64(pageSize) + uint64(span.Offset),
 		Count:  uint32(span.Count),
 		Stable: nfsproto.FileSync,
-		Data:   nfsproto.Zeroes(span.Count),
+		Data:   xdr.Zeroes(span.Count),
 	}
 	c.RPCsSent++
 	c.PagesSent++

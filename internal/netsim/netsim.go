@@ -42,12 +42,18 @@ const (
 	Bandwidth100Mbit = 12_500_000  // 100base-T (§3.5 slow-server check)
 )
 
-// Datagram is one UDP datagram traversing the network.
+// Datagram is one UDP datagram traversing the network. Its size on the
+// wire is len(Payload)+Bulk: Bulk counts zero bytes that follow Payload
+// but are never materialized (an xdr.Encoder's Head and Bulk).
 type Datagram struct {
 	From    string
 	To      string
 	Payload []byte
+	Bulk    int
 }
+
+// Size returns the datagram's UDP payload size in bytes.
+func (dg Datagram) Size() int { return len(dg.Payload) + dg.Bulk }
 
 // Handler receives datagrams delivered to a host. It runs in event
 // context on the virtual clock; implementations typically hand the
@@ -260,8 +266,8 @@ func (n *Network) Send(dg Datagram) SendResult {
 	if dst.cfg.MTU < mtu {
 		mtu = dst.cfg.MTU // path MTU
 	}
-	frags := FragmentCount(len(dg.Payload), mtu)
-	wire := WireBytes(len(dg.Payload), mtu)
+	frags := FragmentCount(dg.Size(), mtu)
+	wire := WireBytes(dg.Size(), mtu)
 
 	if src.down || dst.down {
 		// A downed link at either end kills the datagram before it costs

@@ -399,3 +399,40 @@ func TestGigabitThroughputCeiling(t *testing.T) {
 		t.Fatalf("throughput %v Gb/s; back-to-back sends should near-saturate", gbps)
 	}
 }
+
+// A datagram whose payload is partly counted (Bulk) costs exactly what
+// the same bytes written out cost: fragments, wire bytes, transmit time
+// and delivery time, at both MTUs and across fragment boundaries.
+func TestBulkChargedLikeBytes(t *testing.T) {
+	for _, mtu := range []int{MTUEthernet, MTUJumbo} {
+		for _, size := range []int{0, 1, 1464, 1465, 4096, 8192 + 140, 32768 + 140} {
+			for _, head := range []int{0, 140} {
+				if head > size {
+					continue
+				}
+				cfg := LinkConfig{Bandwidth: BandwidthGigabit, Propagation: 20 * time.Microsecond, MTU: mtu}
+				var results [2]SendResult
+				var delivered [2]int
+				for i, dg := range []Datagram{
+					{From: "client", To: "server", Payload: make([]byte, head), Bulk: size - head},
+					{From: "client", To: "server", Payload: make([]byte, size)},
+				} {
+					s, n, got := twoHosts(t, cfg)
+					results[i] = n.Send(dg)
+					s.Run(0)
+					if len(*got) != 1 {
+						t.Fatalf("delivered %d datagrams", len(*got))
+					}
+					delivered[i] = (*got)[0].Size()
+				}
+				if results[0] != results[1] {
+					t.Fatalf("mtu %d size %d head %d: counted send %+v, byte send %+v",
+						mtu, size, head, results[0], results[1])
+				}
+				if delivered[0] != size || delivered[1] != size {
+					t.Fatalf("mtu %d size %d: delivered sizes %v", mtu, size, delivered)
+				}
+			}
+		}
+	}
+}

@@ -234,7 +234,7 @@ func DecodeWccData(d *xdr.Decoder) (WccData, error) {
 
 func decodeFH(d *xdr.Decoder) (FileHandle, error) {
 	var out FileHandle
-	fh, err := d.Opaque()
+	fh, err := d.OpaqueRef()
 	if err != nil {
 		return out, err
 	}

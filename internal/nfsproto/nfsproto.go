@@ -4,7 +4,9 @@
 // mount with NFSv3, rsize=wsize=8192 (§3.1); message sizes computed here
 // drive wire transmission times and IP fragment counts in the network
 // model — a READ reply carrying rsize bytes of data fragments exactly
-// like a WRITE call carrying wsize bytes.
+// like a WRITE call carrying wsize bytes. Bulk data built with
+// xdr.Zeroes is counted by the encoder rather than copied, so those
+// sizes cost no payload bytes on the host.
 package nfsproto
 
 import (
@@ -91,21 +93,6 @@ func (s Status) String() string {
 // bytes; Linux knfsd and ONTAP both used 32-byte handles in this era.
 const FHSize = 32
 
-// zeroes backs Zeroes(): payload content is not modeled (only wire
-// size), so every bulk-data slice can alias one shared read-only buffer
-// instead of allocating per RPC. 1 MiB covers any wsize/rsize the
-// harness configures; larger requests fall back to a fresh allocation.
-var zeroes = make([]byte, 1<<20)
-
-// Zeroes returns an all-zero payload of n bytes. The slice aliases a
-// shared buffer and must never be written to.
-func Zeroes(n int) []byte {
-	if n <= len(zeroes) {
-		return zeroes[:n:n]
-	}
-	return make([]byte, n)
-}
-
 // FileHandle identifies a file on a server.
 type FileHandle [FHSize]byte
 
@@ -135,8 +122,8 @@ type CallHeader struct {
 
 // authUnixBody is a fixed AUTH_UNIX credential: stamp, machinename
 // ("client"), uid, gid, 1 supplementary gid. Matches what the 2.4 client
-// sends by default.
-func encodeAuthUnix(e *xdr.Encoder) {
+// sends by default. It never changes, so it is encoded once.
+var authUnixBody = func() []byte {
 	body := xdr.NewEncoder(64)
 	body.Uint32(0)        // stamp
 	body.String("client") // machine name
@@ -144,16 +131,15 @@ func encodeAuthUnix(e *xdr.Encoder) {
 	body.Uint32(0)        // gid
 	body.Uint32(1)        // gids count
 	body.Uint32(0)        // gid[0]
-	e.Uint32(AuthUnix)
-	e.Opaque(body.Bytes())
-}
+	return body.Bytes()
+}()
 
 func skipAuth(d *xdr.Decoder) error {
 	_, err := d.Uint32()
 	if err != nil {
 		return err
 	}
-	_, err = d.Opaque()
+	_, err = d.OpaqueRef()
 	return err
 }
 
@@ -166,7 +152,8 @@ func (h CallHeader) Encode(e *xdr.Encoder) {
 	e.Uint32(ProgramNFS)
 	e.Uint32(NFSVersion3)
 	e.Uint32(h.Proc)
-	encodeAuthUnix(e)
+	e.Uint32(AuthUnix)
+	e.Opaque(authUnixBody)
 	e.Uint32(AuthNull) // verf flavor
 	e.Uint32(0)        // verf length
 }
@@ -268,7 +255,6 @@ type WriteArgs struct {
 
 // Encode appends the XDR form of the arguments.
 func (a *WriteArgs) Encode(e *xdr.Encoder) {
-	e.Grow(xdr.OpaqueLen(FHSize) + 16 + xdr.OpaqueLen(len(a.Data)))
 	e.Opaque(a.File[:])
 	e.Uint64(a.Offset)
 	e.Uint32(a.Count)
@@ -278,20 +264,17 @@ func (a *WriteArgs) Encode(e *xdr.Encoder) {
 
 // DecodeWriteArgs decodes WRITE3args.
 func DecodeWriteArgs(d *xdr.Decoder) (*WriteArgs, error) {
-	fh, err := d.Opaque()
+	fh, err := decodeFH(d)
 	if err != nil {
 		return nil, err
 	}
-	if len(fh) != FHSize {
-		return nil, fmt.Errorf("nfsproto: file handle size %d", len(fh))
-	}
-	var a WriteArgs
-	copy(a.File[:], fh)
+	a := WriteArgs{File: fh}
 	off, e1 := d.Uint64()
 	count, e2 := d.Uint32()
 	stable, e3 := d.Uint32()
-	// The payload is aliased, not copied: servers model WRITE data by
-	// size only and never inspect or retain the bytes.
+	// The payload is aliased, not copied (a zero-slab view when the
+	// data was counted): servers model WRITE data by size only and never
+	// inspect or retain the bytes.
 	data, e4 := d.OpaqueRef()
 	if err := xdr.Check(e1, e2, e3, e4); err != nil {
 		return nil, err
@@ -368,15 +351,11 @@ func (a *ReadArgs) Encode(e *xdr.Encoder) {
 
 // DecodeReadArgs decodes READ3args.
 func DecodeReadArgs(d *xdr.Decoder) (*ReadArgs, error) {
-	fh, err := d.Opaque()
+	fh, err := decodeFH(d)
 	if err != nil {
 		return nil, err
 	}
-	if len(fh) != FHSize {
-		return nil, fmt.Errorf("nfsproto: file handle size %d", len(fh))
-	}
-	var a ReadArgs
-	copy(a.File[:], fh)
+	a := ReadArgs{File: fh}
 	off, e1 := d.Uint64()
 	count, e2 := d.Uint32()
 	if err := xdr.Check(e1, e2); err != nil {
@@ -400,7 +379,6 @@ type ReadRes struct {
 
 // Encode appends the XDR form of the result.
 func (r *ReadRes) Encode(e *xdr.Encoder) {
-	e.Grow(16 + xdr.OpaqueLen(len(r.Data)))
 	e.Uint32(uint32(r.Status))
 	e.Bool(false) // post-op attributes not present
 	if r.Status == NFS3OK {
@@ -425,8 +403,9 @@ func DecodeReadRes(d *xdr.Decoder) (*ReadRes, error) {
 	}
 	count, e1 := d.Uint32()
 	eof, e2 := d.Bool()
-	// Aliased, not copied: clients count READ bytes, they never look at
-	// the (all-zero) payload.
+	// Aliased, not copied (a zero-slab view when the data was counted):
+	// clients count READ bytes, they never look at the (all-zero)
+	// payload.
 	data, e3 := d.OpaqueRef()
 	if err := xdr.Check(e1, e2, e3); err != nil {
 		return nil, err
@@ -455,15 +434,11 @@ func (a *CommitArgs) Encode(e *xdr.Encoder) {
 
 // DecodeCommitArgs decodes COMMIT3args.
 func DecodeCommitArgs(d *xdr.Decoder) (*CommitArgs, error) {
-	fh, err := d.Opaque()
+	fh, err := decodeFH(d)
 	if err != nil {
 		return nil, err
 	}
-	if len(fh) != FHSize {
-		return nil, fmt.Errorf("nfsproto: file handle size %d", len(fh))
-	}
-	var a CommitArgs
-	copy(a.File[:], fh)
+	a := CommitArgs{File: fh}
 	off, e1 := d.Uint64()
 	count, e2 := d.Uint32()
 	if err := xdr.Check(e1, e2); err != nil {

@@ -287,3 +287,56 @@ func TestDecodeWriteArgsBadHandle(t *testing.T) {
 		t.Fatal("expected handle-size error")
 	}
 }
+
+// bulkSizes are the data lengths the counted-bulk size checks cover.
+var bulkSizes = []int{0, 1, 3, 4096, 8192, 32768}
+
+// A WRITE call whose data is a zero-slab view is counted, not copied,
+// yet its size is exactly WriteCallSize, and a bulk decoder reads back
+// the arguments with a right-length zero payload.
+func TestWriteCallCountedSize(t *testing.T) {
+	for _, n := range bulkSizes {
+		a := &WriteArgs{File: MakeFileHandle(1, 1), Offset: 4096, Count: uint32(n), Data: xdr.Zeroes(n)}
+		e := xdr.NewEncoder(256)
+		CallHeader{XID: 1, Proc: ProcWrite}.Encode(e)
+		a.Encode(e)
+		if e.Len() != WriteCallSize(n) {
+			t.Fatalf("n=%d: encoded %d, WriteCallSize %d", n, e.Len(), WriteCallSize(n))
+		}
+		if e.Bulk() != xdr.FixedLen(n) {
+			t.Fatalf("n=%d: bulk %d, want the padded data counted", n, e.Bulk())
+		}
+		d := xdr.NewBulkDecoder(e.Head(), e.Bulk())
+		if _, err := DecodeCall(d); err != nil {
+			t.Fatal(err)
+		}
+		got, err := DecodeWriteArgs(d)
+		if err != nil || got.File != a.File || got.Offset != 4096 || len(got.Data) != n || d.Remaining() != 0 {
+			t.Fatalf("n=%d: decoded %+v err %v, %d bytes left", n, got, err, d.Remaining())
+		}
+	}
+}
+
+// The READ reply counterpart of TestWriteCallCountedSize.
+func TestReadReplyCountedSize(t *testing.T) {
+	for _, n := range bulkSizes {
+		r := &ReadRes{Status: NFS3OK, Count: uint32(n), EOF: true, Data: xdr.Zeroes(n)}
+		e := xdr.NewEncoder(64)
+		ReplyHeader{XID: 1}.Encode(e)
+		r.Encode(e)
+		if e.Len() != ReadReplySize(n) {
+			t.Fatalf("n=%d: encoded %d, ReadReplySize %d", n, e.Len(), ReadReplySize(n))
+		}
+		if e.Bulk() != xdr.FixedLen(n) {
+			t.Fatalf("n=%d: bulk %d, want the padded data counted", n, e.Bulk())
+		}
+		d := xdr.NewBulkDecoder(e.Head(), e.Bulk())
+		if _, err := DecodeReply(d); err != nil {
+			t.Fatal(err)
+		}
+		got, err := DecodeReadRes(d)
+		if err != nil || got.Count != uint32(n) || !got.EOF || len(got.Data) != n || d.Remaining() != 0 {
+			t.Fatalf("n=%d: decoded %+v err %v, %d bytes left", n, got, err, d.Remaining())
+		}
+	}
+}

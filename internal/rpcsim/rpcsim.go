@@ -194,8 +194,7 @@ func (e *DeadServerError) Error() string {
 
 type pendingCall struct {
 	xid     uint32
-	payload []byte
-	enc     *xdr.Encoder // pooled encoder backing payload; nil once released
+	enc     *xdr.Encoder // pooled encoder holding the call; nil once released
 	onReply func(body *xdr.Decoder)
 	timer   sim.Event
 	sentAt  sim.Time
@@ -220,7 +219,7 @@ type Transport struct {
 	pending  map[uint32]*pendingCall
 	slotWait *sim.WaitQueue
 
-	rxq     sim.FIFO[[]byte]
+	rxq     sim.FIFO[netsim.Datagram]
 	rxWait  *sim.WaitQueue
 	softirq *sim.Proc
 
@@ -251,13 +250,13 @@ func New(s *sim.Sim, net *netsim.Network, cpu *sim.CPUPool, bkl *sim.Mutex, cfg 
 	if cfg.Transport == TransportTCP {
 		t.stream = streamsim.NewEndpoint(s, net, streamsim.DefaultConfig(cfg.MTU), local, remote,
 			func(rec []byte) {
-				t.rxq.Push(rec)
+				t.rxq.Push(netsim.Datagram{Payload: rec})
 				t.rxWait.Signal()
 			})
 		net.SetHandler(local, func(dg netsim.Datagram) { t.stream.HandleDatagram(dg.Payload) })
 	} else {
 		net.SetHandler(local, func(dg netsim.Datagram) {
-			t.rxq.Push(dg.Payload)
+			t.rxq.Push(dg)
 			t.rxWait.Signal()
 		})
 	}
@@ -319,9 +318,8 @@ func (t *Transport) call(p *sim.Proc, proc uint32, encodeArgs func(*xdr.Encoder)
 	enc := xdr.AcquireEncoder()
 	nfsproto.CallHeader{XID: xid, Proc: proc}.Encode(enc)
 	encodeArgs(enc)
-	payload := enc.Bytes()
 
-	pc := &pendingCall{xid: xid, payload: payload, enc: enc, onReply: onReply, sentAt: t.s.Now(), sync: sync}
+	pc := &pendingCall{xid: xid, enc: enc, onReply: onReply, sentAt: t.s.Now(), sync: sync}
 	t.pending[xid] = pc
 	t.stats.Calls++
 
@@ -345,7 +343,7 @@ func (t *Transport) msgUnits(msgLen int) int {
 
 // transmit performs the sock_sendmsg portion; caller holds the BKL.
 func (t *Transport) transmit(p *sim.Proc, pc *pendingCall) {
-	sendCPU := t.cfg.SendCPUBase + sim.Time(t.msgUnits(len(pc.payload)))*t.cfg.SendCPUPerFragment
+	sendCPU := t.cfg.SendCPUBase + sim.Time(t.msgUnits(pc.enc.Len()))*t.cfg.SendCPUPerFragment
 
 	switch t.cfg.LockPolicy {
 	case HoldBKLAcrossSend:
@@ -364,19 +362,25 @@ func (t *Transport) transmit(p *sim.Proc, pc *pendingCall) {
 	if t.cfg.Transport == TransportTCP {
 		// The stream owns reliability: per-segment retransmission with an
 		// adaptive RTO. No whole-message timer, no duplicate replies.
-		// SendRecord copies the record into the stream buffer, so the
-		// encode buffer is dead as soon as it returns.
-		t.stream.SendRecord(pc.payload)
-		pc.payload = nil
+		// SendRecord copies the record (bulk written out) into the
+		// stream buffer, so the encode buffer is dead as soon as it
+		// returns.
+		t.stream.SendRecord(pc.enc.Bytes())
 		pc.enc.Release()
 		pc.enc = nil
 		return
 	}
-	res := t.net.Send(netsim.Datagram{From: t.local, To: t.remote, Payload: pc.payload})
+	res := t.send(pc)
 	t.stats.BytesSent += res.WireBytes
 	xid := pc.xid
 	pc.rto = t.cfg.RetransmitTimeout
 	pc.timer = t.s.After(pc.rto, func() { t.retransmit(xid) })
+}
+
+// send puts a UDP call on the wire: its encoded head plus the counted
+// bulk.
+func (t *Transport) send(pc *pendingCall) netsim.SendResult {
+	return t.net.Send(netsim.Datagram{From: t.local, To: t.remote, Payload: pc.enc.Head(), Bulk: pc.enc.Bulk()})
 }
 
 // retransmit resends an unanswered call and doubles its timeout,
@@ -398,7 +402,7 @@ func (t *Transport) retransmit(xid uint32) {
 	}
 	t.stats.Retransmits++
 	pc.retrans++
-	res := t.net.Send(netsim.Datagram{From: t.local, To: t.remote, Payload: pc.payload})
+	res := t.send(pc)
 	t.stats.BytesSent += res.WireBytes
 	pc.rto *= 2
 	if pc.rto > t.cfg.MaxRetransmitTimeout {
@@ -415,25 +419,25 @@ func (t *Transport) softirqLoop(p *sim.Proc) {
 		for t.rxq.Len() == 0 {
 			t.rxWait.Wait(p)
 		}
-		payload := t.rxq.Pop()
+		reply := t.rxq.Pop()
 
 		t.cpu.Use(p, "udp_rcv",
-			t.cfg.ReplyCPUBase+sim.Time(t.msgUnits(len(payload)))*t.cfg.ReplyCPUPerFragment)
+			t.cfg.ReplyCPUBase+sim.Time(t.msgUnits(reply.Size()))*t.cfg.ReplyCPUPerFragment)
 
-		d := xdr.NewDecoder(payload)
+		d := xdr.NewBulkDecoder(reply.Payload, reply.Bulk)
 		hdr, err := nfsproto.DecodeReply(d)
 		if err != nil {
 			// A truncated or stale datagram (possible around a server
 			// restart) must not kill the run: count it and drop it.
 			t.stats.BadReplies++
-			xdr.RecycleBuffer(payload)
+			xdr.RecycleBuffer(reply.Payload)
 			continue
 		}
 		pc, ok := t.pending[hdr.XID]
 		if !ok {
 			// Duplicate reply: the original answer raced a retransmission.
 			t.stats.DuplicateReplies++
-			xdr.RecycleBuffer(payload)
+			xdr.RecycleBuffer(reply.Payload)
 			continue
 		}
 
@@ -462,7 +466,6 @@ func (t *Transport) softirqLoop(p *sim.Proc) {
 		// retransmitted call may still have copies in flight — leak those
 		// to the GC.
 		if pc.enc != nil && pc.retrans == 0 {
-			pc.payload = nil
 			pc.enc.Release()
 			pc.enc = nil
 		}
@@ -471,7 +474,7 @@ func (t *Transport) softirqLoop(p *sim.Proc) {
 		// aliases die with the callback — except under CallSync, whose
 		// caller reads the decoder after we loop on.
 		if !pc.sync {
-			xdr.RecycleBuffer(payload)
+			xdr.RecycleBuffer(reply.Payload)
 		}
 	}
 }

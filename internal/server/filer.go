@@ -5,6 +5,7 @@ import (
 	"repro/internal/nfsproto"
 	"repro/internal/rangeset"
 	"repro/internal/sim"
+	"repro/internal/xdr"
 )
 
 // FilerConfig describes the F85 backend.
@@ -225,7 +226,7 @@ func (f *Filer) HandleRead(p *sim.Proc, args *nfsproto.ReadArgs) *nfsproto.ReadR
 	return &nfsproto.ReadRes{
 		Status: nfsproto.NFS3OK,
 		Count:  args.Count,
-		Data:   nfsproto.Zeroes(int(args.Count)),
+		Data:   xdr.Zeroes(int(args.Count)),
 	}
 }
 

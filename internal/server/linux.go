@@ -5,6 +5,7 @@ import (
 	"repro/internal/nfsproto"
 	"repro/internal/rangeset"
 	"repro/internal/sim"
+	"repro/internal/xdr"
 )
 
 // LinuxConfig describes the four-way Linux 2.4.4 knfsd backend.
@@ -206,7 +207,7 @@ func (l *LinuxServer) HandleRead(p *sim.Proc, args *nfsproto.ReadArgs) *nfsproto
 	return &nfsproto.ReadRes{
 		Status: nfsproto.NFS3OK,
 		Count:  args.Count,
-		Data:   nfsproto.Zeroes(int(args.Count)),
+		Data:   xdr.Zeroes(int(args.Count)),
 	}
 }
 

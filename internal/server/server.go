@@ -130,9 +130,14 @@ type Server struct {
 	DroppedReplies   int64 // replies suppressed because their instance died
 }
 
+// rxItem is one received call: its encoded head, the count of zero bulk
+// bytes that followed it on the wire, and its size in wire units. The
+// queue can hold every client's in-flight calls, so it keeps only these
+// fields of the datagram.
 type rxItem struct {
 	from    string
 	payload []byte
+	bulk    int
 	frags   int
 }
 
@@ -167,7 +172,8 @@ func New(s *sim.Sim, net *netsim.Network, link netsim.LinkConfig, cfg Config, ba
 			srv.rxq.Push(rxItem{
 				from:    dg.From,
 				payload: dg.Payload,
-				frags:   netsim.FragmentCount(len(dg.Payload), cfg.MTU),
+				bulk:    dg.Bulk,
+				frags:   netsim.FragmentCount(dg.Size(), cfg.MTU),
 			})
 			srv.rxWait.Signal()
 		})
@@ -308,7 +314,7 @@ func (srv *Server) worker(p *sim.Proc) {
 func (srv *Server) serve(p *sim.Proc, item rxItem, gen int) {
 	srv.cpu.Use(p, "nfsd_recv", srv.cfg.RecvCPUBase+sim.Time(item.frags)*srv.cfg.RecvCPUPerFragment)
 
-	d := xdr.NewDecoder(item.payload)
+	d := xdr.NewBulkDecoder(item.payload, item.bulk)
 	hdr, err := nfsproto.DecodeCall(d)
 	if err != nil {
 		panic(fmt.Sprintf("server %s: bad call: %v", srv.cfg.Host, err))
@@ -414,12 +420,13 @@ func (srv *Server) serve(p *sim.Proc, item rxItem, gen int) {
 	}
 	srv.cpu.Use(p, "nfsd_send", srv.cfg.SendCPU)
 	if srv.cfg.Transport == rpcsim.TransportTCP {
-		// SendRecord copies, so the reply encoder is immediately dead.
+		// SendRecord copies (bulk written out), so the reply encoder is
+		// immediately dead.
 		srv.conn(item.from).SendRecord(reply.Bytes())
 		reply.Release()
 	} else {
-		// Ownership of the reply buffer moves to the datagram; the
-		// client's softirq loop recycles it after the completion callback.
-		srv.net.Send(netsim.Datagram{From: srv.cfg.Host, To: item.from, Payload: reply.Bytes()})
+		// Ownership of the reply head moves to the datagram; the client's
+		// softirq loop recycles it after the completion callback.
+		srv.net.Send(netsim.Datagram{From: srv.cfg.Host, To: item.from, Payload: reply.Head(), Bulk: reply.Bulk()})
 	}
 }

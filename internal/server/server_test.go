@@ -20,7 +20,7 @@ type rig struct {
 
 // newRig builds client + server of the requested kind. kind is one of
 // "filer", "linux", "slow".
-func newRig(t *testing.T, kind string) (*rig, any) {
+func newRig(t testing.TB, kind string) (*rig, any) {
 	t.Helper()
 	s := sim.New(11)
 	net := netsim.New(s)
