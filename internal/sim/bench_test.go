@@ -9,8 +9,11 @@ import (
 
 // BenchmarkKernelSchedule measures the raw event-queue path: schedule a
 // timer, pop it, run its callback, schedule the next — no processes, no
-// handoffs. This is the floor every simulated microsecond pays, so the
-// CI wall-clock gate watches its ns/op.
+// handoffs. This is the floor every simulated microsecond pays. Each
+// iteration is one event of 12–20 ns on a 2-core Xeon, so at
+// -benchtime 1x the benchmark times a single event; the CI A/B runs it
+// at a fixed 20000000x (0.25–0.4 s) so that both sides time the same
+// work and a run is long enough to compare.
 func BenchmarkKernelSchedule(b *testing.B) {
 	s := sim.New(1)
 	n := 0
@@ -24,28 +27,26 @@ func BenchmarkKernelSchedule(b *testing.B) {
 	s.After(time.Microsecond, tick)
 	b.ResetTimer()
 	s.Run(0)
-	b.ReportMetric(float64(n)/b.Elapsed().Seconds(), "events/s")
 }
 
 // BenchmarkKernelFleetHandoff measures the scheduler↔process handoff at
 // fleet shape: 1000 processes sleeping staggered intervals, so every
 // event is a cross-goroutine baton pass (the dominant kernel cost of a
-// thousand-client simulation).
+// thousand-client simulation). Each iteration is one handoff of
+// 400–500 ns on a 2-core Xeon, so the CI A/B runs it at a fixed
+// 2000000x (~0.9 s) rather than 1x.
 func BenchmarkKernelFleetHandoff(b *testing.B) {
 	const procs = 1000
 	s := sim.New(1)
 	each := b.N/procs + 1
-	total := 0
 	for i := 0; i < procs; i++ {
 		d := time.Duration(i%7+1) * time.Microsecond
 		s.Go("proc", func(p *sim.Proc) {
 			for j := 0; j < each; j++ {
 				p.Sleep(d)
-				total++
 			}
 		})
 	}
 	b.ResetTimer()
 	s.Run(0)
-	b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "events/s")
 }
