@@ -75,11 +75,12 @@ func (c *Client) invalidateAttr(name string) {
 func (c *Client) AttrCacheLen() int { return len(c.attrCache) }
 
 // lookupRPC issues a LOOKUP for name in the mount's root directory.
-func (c *Client) lookupRPC(p *sim.Proc, name string) *nfsproto.LookupRes {
+func (c *Client) lookupRPC(p *sim.Proc, name string) nfsproto.LookupRes {
 	c.LookupRPCs++
 	args := nfsproto.LookupArgs{Dir: c.rootFH, Name: name}
-	d := c.tr.CallSync(p, nfsproto.ProcLookup, args.Encode)
+	d, done := c.tr.CallSync(p, nfsproto.ProcLookup, args.Encode)
 	res, err := nfsproto.DecodeLookupRes(d)
+	done()
 	if err != nil {
 		panic(fmt.Sprintf("core: bad LOOKUP reply: %v", err))
 	}
@@ -90,8 +91,9 @@ func (c *Client) lookupRPC(p *sim.Proc, name string) *nfsproto.LookupRes {
 func (c *Client) getattrRPC(p *sim.Proc, fh nfsproto.FileHandle) nfsproto.FileAttrs {
 	c.GetattrRPCs++
 	args := nfsproto.GetattrArgs{File: fh}
-	d := c.tr.CallSync(p, nfsproto.ProcGetattr, args.Encode)
+	d, done := c.tr.CallSync(p, nfsproto.ProcGetattr, args.Encode)
 	res, err := nfsproto.DecodeGetattrRes(d)
+	done()
 	if err != nil || res.Status != nfsproto.NFS3OK {
 		panic(fmt.Sprintf("core: GETATTR failed: %v %v", res, err))
 	}
@@ -102,8 +104,9 @@ func (c *Client) getattrRPC(p *sim.Proc, fh nfsproto.FileHandle) nfsproto.FileAt
 func (c *Client) createRPC(p *sim.Proc, name string) (nfsproto.FileHandle, nfsproto.FileAttrs) {
 	c.CreateRPCs++
 	args := nfsproto.CreateArgs{Dir: c.rootFH, Name: name}
-	d := c.tr.CallSync(p, nfsproto.ProcCreate, args.Encode)
+	d, done := c.tr.CallSync(p, nfsproto.ProcCreate, args.Encode)
 	res, err := nfsproto.DecodeCreateRes(d)
+	done()
 	if err != nil || res.Status != nfsproto.NFS3OK {
 		panic(fmt.Sprintf("core: CREATE failed: %v %v", res, err))
 	}
@@ -270,8 +273,9 @@ func (c *Client) Remove(p *sim.Proc, name string) bool {
 	}
 	c.RemoveRPCs++
 	args := nfsproto.RemoveArgs{Dir: c.rootFH, Name: name}
-	d := c.tr.CallSync(p, nfsproto.ProcRemove, args.Encode)
+	d, done := c.tr.CallSync(p, nfsproto.ProcRemove, args.Encode)
 	res, err := nfsproto.DecodeRemoveRes(d)
+	done()
 	if err != nil {
 		panic(fmt.Sprintf("core: bad REMOVE reply: %v", err))
 	}

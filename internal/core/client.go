@@ -729,8 +729,9 @@ func (c *Client) writeSyncSpan(p *sim.Proc, ino *Inode, span vfs.PageSpan) {
 	}
 	c.RPCsSent++
 	c.PagesSent++
-	d := c.tr.CallSync(p, nfsproto.ProcWrite, args.Encode)
+	d, done := c.tr.CallSync(p, nfsproto.ProcWrite, args.Encode)
 	res, err := nfsproto.DecodeWriteRes(d)
+	done()
 	if err != nil || res.Status != nfsproto.NFS3OK {
 		panic(fmt.Sprintf("core: sync WRITE failed: %v %v", res, err))
 	}
@@ -746,8 +747,9 @@ func (c *Client) writeSyncSpan(p *sim.Proc, ino *Inode, span vfs.PageSpan) {
 func (c *Client) commitSync(p *sim.Proc, ino *Inode) bool {
 	c.CommitRPCs++
 	args := nfsproto.CommitArgs{File: ino.FH, Offset: 0, Count: 0}
-	d := c.tr.CallSync(p, nfsproto.ProcCommit, args.Encode)
+	d, done := c.tr.CallSync(p, nfsproto.ProcCommit, args.Encode)
 	res, err := nfsproto.DecodeCommitRes(d)
+	done()
 	if err != nil || res.Status != nfsproto.NFS3OK {
 		panic(fmt.Sprintf("core: COMMIT failed: %v %v", res, err))
 	}

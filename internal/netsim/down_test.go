@@ -139,3 +139,50 @@ func TestLossStreamIndependentOfEnableTime(t *testing.T) {
 		t.Fatal("no drops at 30% loss; the pattern comparison is vacuous")
 	}
 }
+
+// Delivery records are reused once their event fires. A datagram that
+// dies against a downed link must hand its record back exactly once:
+// the two datagrams sent next, both in flight together, each need a
+// record of their own, and every counter stays exact.
+func TestDownDeliveryRecordReused(t *testing.T) {
+	s, n, got := twoHosts(t, DefaultGigabit())
+	res := n.Send(Datagram{From: "client", To: "server", Payload: make([]byte, 100)})
+	s.At(res.DeliverAt-1, func() { n.SetDown("server", true) })
+	s.Run(res.DeliverAt + 1)
+	if len(n.free) != 1 {
+		t.Fatalf("%d free delivery records after the dead delivery, want 1", len(n.free))
+	}
+
+	n.SetDown("server", false)
+	b := n.Send(Datagram{From: "client", To: "server", Payload: make([]byte, 200)})
+	c := n.Send(Datagram{From: "client", To: "server", Payload: make([]byte, 300)})
+	if len(n.free) != 0 {
+		t.Fatal("the next sends did not reuse the dead datagram's record")
+	}
+	s.Run(time.Second)
+
+	if len(*got) != 2 || len((*got)[0].Payload) != 200 || len((*got)[1].Payload) != 300 {
+		t.Fatalf("delivered %d datagrams %v, want the 200- and 300-byte ones in order", len(*got), sizes(*got))
+	}
+	want := Stats{
+		BytesReceived: b.WireBytes + c.WireBytes,
+		FramesRecv:    2,
+		FramesDropped: 1,
+		LostDatagrams: 1,
+		DownDrops:     1,
+	}
+	if st := n.HostStats("server"); st != want {
+		t.Fatalf("server stats = %+v, want %+v", st, want)
+	}
+	if len(n.free) != 2 {
+		t.Fatalf("%d free delivery records at rest, want 2", len(n.free))
+	}
+}
+
+func sizes(dgs []Datagram) []int {
+	out := make([]int, len(dgs))
+	for i, dg := range dgs {
+		out[i] = dg.Size()
+	}
+	return out
+}

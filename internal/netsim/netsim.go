@@ -130,6 +130,45 @@ type Network struct {
 	hosts map[string]*host
 	loss  LossConfig
 	lrng  *rand.Rand // loss/jitter stream; seeded eagerly at New
+	// free holds delivery records whose event has fired, for Send to
+	// reuse.
+	free []*delivery
+}
+
+// delivery is one datagram in flight: what its arrival event needs.
+// Records are reused, each with its fire func bound once, so a Send
+// allocates nothing. A record returns to the free list only when its
+// event fires, and an event fires once, so a reused record never
+// carries a datagram its old event could still see.
+type delivery struct {
+	n     *Network
+	dst   *host
+	dg    Datagram
+	frags int
+	wire  int64
+	fire  func()
+}
+
+// deliver runs when a datagram's last fragment clears the receiver's
+// link. Receive accounting happens here, not at Send: a datagram in
+// flight when the destination link goes down dies at the dead port
+// instead of reassembling.
+func (d *delivery) deliver() {
+	n, dst, dg := d.n, d.dst, d.dg
+	frags, wire := d.frags, d.wire
+	d.dst, d.dg = nil, Datagram{}
+	n.free = append(n.free, d)
+	if dst.down {
+		dst.FramesDropped += int64(frags)
+		dst.LostDatagrams++
+		dst.DownDrops++
+		return
+	}
+	dst.BytesReceived += wire
+	dst.FramesRecv += int64(frags)
+	if dst.handler != nil {
+		dst.handler(dg)
+	}
 }
 
 // New returns an empty network on the given simulator. The loss/jitter
@@ -328,22 +367,16 @@ func (n *Network) Send(dg Datagram) SendResult {
 		deliverAt += sim.Time(n.lrng.Int63n(int64(n.loss.DelayJitter) + 1))
 	}
 
-	// Receive accounting happens at delivery time: a datagram in flight
-	// when the destination link goes down dies at the dead port instead of
-	// reassembling.
-	n.s.At(deliverAt, func() {
-		if dst.down {
-			dst.FramesDropped += int64(frags)
-			dst.LostDatagrams++
-			dst.DownDrops++
-			return
-		}
-		dst.BytesReceived += wire
-		dst.FramesRecv += int64(frags)
-		if dst.handler != nil {
-			dst.handler(dg)
-		}
-	})
+	var d *delivery
+	if k := len(n.free); k > 0 {
+		d = n.free[k-1]
+		n.free = n.free[:k-1]
+	} else {
+		d = &delivery{n: n}
+		d.fire = d.deliver
+	}
+	d.dst, d.dg, d.frags, d.wire = dst, dg, frags, wire
+	n.s.At(deliverAt, d.fire)
 	res.DeliverAt = deliverAt
 	return res
 }

@@ -256,12 +256,12 @@ func (a *GetattrArgs) Encode(e *xdr.Encoder) {
 }
 
 // DecodeGetattrArgs decodes GETATTR3args.
-func DecodeGetattrArgs(d *xdr.Decoder) (*GetattrArgs, error) {
+func DecodeGetattrArgs(d *xdr.Decoder) (GetattrArgs, error) {
 	fh, err := decodeFH(d)
 	if err != nil {
-		return nil, err
+		return GetattrArgs{}, err
 	}
-	return &GetattrArgs{File: fh}, nil
+	return GetattrArgs{File: fh}, nil
 }
 
 // GetattrRes is GETATTR3res. The success arm carries a mandatory fattr3
@@ -280,18 +280,18 @@ func (r *GetattrRes) Encode(e *xdr.Encoder) {
 }
 
 // DecodeGetattrRes decodes GETATTR3res.
-func DecodeGetattrRes(d *xdr.Decoder) (*GetattrRes, error) {
+func DecodeGetattrRes(d *xdr.Decoder) (GetattrRes, error) {
 	st, err := d.Uint32()
 	if err != nil {
-		return nil, err
+		return GetattrRes{}, err
 	}
-	r := &GetattrRes{Status: Status(st)}
+	r := GetattrRes{Status: Status(st)}
 	if r.Status != NFS3OK {
 		return r, nil
 	}
 	r.Attrs, err = DecodeFileAttrs(d)
 	if err != nil {
-		return nil, err
+		return GetattrRes{}, err
 	}
 	return r, nil
 }
@@ -309,16 +309,16 @@ func (a *LookupArgs) Encode(e *xdr.Encoder) {
 }
 
 // DecodeLookupArgs decodes LOOKUP3args.
-func DecodeLookupArgs(d *xdr.Decoder) (*LookupArgs, error) {
+func DecodeLookupArgs(d *xdr.Decoder) (LookupArgs, error) {
 	fh, err := decodeFH(d)
 	if err != nil {
-		return nil, err
+		return LookupArgs{}, err
 	}
 	name, err := d.String()
 	if err != nil {
-		return nil, err
+		return LookupArgs{}, err
 	}
-	return &LookupArgs{Dir: fh, Name: name}, nil
+	return LookupArgs{Dir: fh, Name: name}, nil
 }
 
 // LookupRes is LOOKUP3res: on success the object handle plus post-op
@@ -342,30 +342,30 @@ func (r *LookupRes) Encode(e *xdr.Encoder) {
 }
 
 // DecodeLookupRes decodes LOOKUP3res.
-func DecodeLookupRes(d *xdr.Decoder) (*LookupRes, error) {
+func DecodeLookupRes(d *xdr.Decoder) (LookupRes, error) {
 	st, err := d.Uint32()
 	if err != nil {
-		return nil, err
+		return LookupRes{}, err
 	}
-	r := &LookupRes{Status: Status(st)}
+	r := LookupRes{Status: Status(st)}
 	if r.Status == NFS3OK {
 		r.File, err = decodeFH(d)
 		if err != nil {
-			return nil, err
+			return LookupRes{}, err
 		}
 		present, err := d.Bool()
 		if err != nil {
-			return nil, err
+			return LookupRes{}, err
 		}
 		if present {
 			r.Attrs, err = DecodeFileAttrs(d)
 			if err != nil {
-				return nil, err
+				return LookupRes{}, err
 			}
 		}
 	}
 	if _, err := d.Bool(); err != nil { // dir attributes arm
-		return nil, err
+		return LookupRes{}, err
 	}
 	return r, nil
 }
@@ -393,32 +393,32 @@ func (a *CreateArgs) Encode(e *xdr.Encoder) {
 }
 
 // DecodeCreateArgs decodes CREATE3args.
-func DecodeCreateArgs(d *xdr.Decoder) (*CreateArgs, error) {
+func DecodeCreateArgs(d *xdr.Decoder) (CreateArgs, error) {
 	fh, err := decodeFH(d)
 	if err != nil {
-		return nil, err
+		return CreateArgs{}, err
 	}
 	name, err := d.String()
 	if err != nil {
-		return nil, err
+		return CreateArgs{}, err
 	}
 	how, err := d.Uint32()
 	if err != nil {
-		return nil, err
+		return CreateArgs{}, err
 	}
 	if how > 2 {
-		return nil, fmt.Errorf("nfsproto: createhow3 %d", how)
+		return CreateArgs{}, fmt.Errorf("nfsproto: createhow3 %d", how)
 	}
 	// Consume the sattr3 (EXCLUSIVE carries a verifier instead; we only
 	// model UNCHECKED/GUARDED).
 	if how != 2 {
 		if err := skipSattr(d); err != nil {
-			return nil, err
+			return CreateArgs{}, err
 		}
 	} else if _, err := d.Uint64(); err != nil {
-		return nil, err
+		return CreateArgs{}, err
 	}
-	return &CreateArgs{Dir: fh, Name: name}, nil
+	return CreateArgs{Dir: fh, Name: name}, nil
 }
 
 func skipSattr(d *xdr.Decoder) error {
@@ -482,37 +482,37 @@ func (r *CreateRes) Encode(e *xdr.Encoder) {
 }
 
 // DecodeCreateRes decodes CREATE3res.
-func DecodeCreateRes(d *xdr.Decoder) (*CreateRes, error) {
+func DecodeCreateRes(d *xdr.Decoder) (CreateRes, error) {
 	st, err := d.Uint32()
 	if err != nil {
-		return nil, err
+		return CreateRes{}, err
 	}
-	r := &CreateRes{Status: Status(st)}
+	r := CreateRes{Status: Status(st)}
 	if r.Status == NFS3OK {
 		present, err := d.Bool()
 		if err != nil {
-			return nil, err
+			return CreateRes{}, err
 		}
 		if present {
 			r.File, err = decodeFH(d)
 			if err != nil {
-				return nil, err
+				return CreateRes{}, err
 			}
 		}
 		present, err = d.Bool()
 		if err != nil {
-			return nil, err
+			return CreateRes{}, err
 		}
 		if present {
 			r.Attrs, err = DecodeFileAttrs(d)
 			if err != nil {
-				return nil, err
+				return CreateRes{}, err
 			}
 		}
 	}
 	r.Wcc, err = DecodeWccData(d)
 	if err != nil {
-		return nil, err
+		return CreateRes{}, err
 	}
 	return r, nil
 }
@@ -530,16 +530,16 @@ func (a *RemoveArgs) Encode(e *xdr.Encoder) {
 }
 
 // DecodeRemoveArgs decodes REMOVE3args.
-func DecodeRemoveArgs(d *xdr.Decoder) (*RemoveArgs, error) {
+func DecodeRemoveArgs(d *xdr.Decoder) (RemoveArgs, error) {
 	fh, err := decodeFH(d)
 	if err != nil {
-		return nil, err
+		return RemoveArgs{}, err
 	}
 	name, err := d.String()
 	if err != nil {
-		return nil, err
+		return RemoveArgs{}, err
 	}
-	return &RemoveArgs{Dir: fh, Name: name}, nil
+	return RemoveArgs{Dir: fh, Name: name}, nil
 }
 
 // RemoveRes is REMOVE3res: status plus directory wcc_data carrying the
@@ -556,16 +556,16 @@ func (r *RemoveRes) Encode(e *xdr.Encoder) {
 }
 
 // DecodeRemoveRes decodes REMOVE3res.
-func DecodeRemoveRes(d *xdr.Decoder) (*RemoveRes, error) {
+func DecodeRemoveRes(d *xdr.Decoder) (RemoveRes, error) {
 	st, err := d.Uint32()
 	if err != nil {
-		return nil, err
+		return RemoveRes{}, err
 	}
-	r := &RemoveRes{Status: Status(st)}
+	r := RemoveRes{Status: Status(st)}
 	var err2 error
 	r.Wcc, err2 = DecodeWccData(d)
 	if err2 != nil {
-		return nil, err2
+		return RemoveRes{}, err2
 	}
 	return r, nil
 }

@@ -6,7 +6,10 @@
 // model — a READ reply carrying rsize bytes of data fragments exactly
 // like a WRITE call carrying wsize bytes. Bulk data built with
 // xdr.Zeroes is counted by the encoder rather than copied, so those
-// sizes cost no payload bytes on the host.
+// sizes cost no payload bytes on the host. Every Decode*Args and
+// Decode*Res returns its message by value, so the caller decides where
+// it lives: the server decodes request arguments into storage each
+// worker owns, and no decode allocates the message itself.
 package nfsproto
 
 import (
@@ -263,10 +266,10 @@ func (a *WriteArgs) Encode(e *xdr.Encoder) {
 }
 
 // DecodeWriteArgs decodes WRITE3args.
-func DecodeWriteArgs(d *xdr.Decoder) (*WriteArgs, error) {
+func DecodeWriteArgs(d *xdr.Decoder) (WriteArgs, error) {
 	fh, err := decodeFH(d)
 	if err != nil {
-		return nil, err
+		return WriteArgs{}, err
 	}
 	a := WriteArgs{File: fh}
 	off, e1 := d.Uint64()
@@ -277,13 +280,13 @@ func DecodeWriteArgs(d *xdr.Decoder) (*WriteArgs, error) {
 	// inspect or retain the bytes.
 	data, e4 := d.OpaqueRef()
 	if err := xdr.Check(e1, e2, e3, e4); err != nil {
-		return nil, err
+		return WriteArgs{}, err
 	}
 	a.Offset = off
 	a.Count = count
 	a.Stable = StableHow(stable)
 	a.Data = data
-	return &a, nil
+	return a, nil
 }
 
 // WriteRes is WRITE3res with the file's wcc_data: pre-op size/mtime/
@@ -310,16 +313,16 @@ func (r *WriteRes) Encode(e *xdr.Encoder) {
 }
 
 // DecodeWriteRes decodes WRITE3res.
-func DecodeWriteRes(d *xdr.Decoder) (*WriteRes, error) {
+func DecodeWriteRes(d *xdr.Decoder) (WriteRes, error) {
 	st, err := d.Uint32()
 	if err != nil {
-		return nil, err
+		return WriteRes{}, err
 	}
 	wcc, err := DecodeWccData(d)
 	if err != nil {
-		return nil, err
+		return WriteRes{}, err
 	}
-	r := &WriteRes{Status: Status(st), Wcc: wcc}
+	r := WriteRes{Status: Status(st), Wcc: wcc}
 	if r.Status != NFS3OK {
 		return r, nil
 	}
@@ -327,7 +330,7 @@ func DecodeWriteRes(d *xdr.Decoder) (*WriteRes, error) {
 	committed, e2 := d.Uint32()
 	verf, e3 := d.Uint64()
 	if err := xdr.Check(e1, e2, e3); err != nil {
-		return nil, err
+		return WriteRes{}, err
 	}
 	r.Count = count
 	r.Committed = StableHow(committed)
@@ -350,20 +353,20 @@ func (a *ReadArgs) Encode(e *xdr.Encoder) {
 }
 
 // DecodeReadArgs decodes READ3args.
-func DecodeReadArgs(d *xdr.Decoder) (*ReadArgs, error) {
+func DecodeReadArgs(d *xdr.Decoder) (ReadArgs, error) {
 	fh, err := decodeFH(d)
 	if err != nil {
-		return nil, err
+		return ReadArgs{}, err
 	}
 	a := ReadArgs{File: fh}
 	off, e1 := d.Uint64()
 	count, e2 := d.Uint32()
 	if err := xdr.Check(e1, e2); err != nil {
-		return nil, err
+		return ReadArgs{}, err
 	}
 	a.Offset = off
 	a.Count = count
-	return &a, nil
+	return a, nil
 }
 
 // ReadRes is READ3res (success arm; post-op attributes elided as "not
@@ -389,15 +392,15 @@ func (r *ReadRes) Encode(e *xdr.Encoder) {
 }
 
 // DecodeReadRes decodes READ3res.
-func DecodeReadRes(d *xdr.Decoder) (*ReadRes, error) {
+func DecodeReadRes(d *xdr.Decoder) (ReadRes, error) {
 	st, err := d.Uint32()
 	if err != nil {
-		return nil, err
+		return ReadRes{}, err
 	}
 	if _, err := d.Bool(); err != nil {
-		return nil, err
+		return ReadRes{}, err
 	}
-	r := &ReadRes{Status: Status(st)}
+	r := ReadRes{Status: Status(st)}
 	if r.Status != NFS3OK {
 		return r, nil
 	}
@@ -408,7 +411,7 @@ func DecodeReadRes(d *xdr.Decoder) (*ReadRes, error) {
 	// payload.
 	data, e3 := d.OpaqueRef()
 	if err := xdr.Check(e1, e2, e3); err != nil {
-		return nil, err
+		return ReadRes{}, err
 	}
 	r.Count = count
 	r.EOF = eof
@@ -433,20 +436,20 @@ func (a *CommitArgs) Encode(e *xdr.Encoder) {
 }
 
 // DecodeCommitArgs decodes COMMIT3args.
-func DecodeCommitArgs(d *xdr.Decoder) (*CommitArgs, error) {
+func DecodeCommitArgs(d *xdr.Decoder) (CommitArgs, error) {
 	fh, err := decodeFH(d)
 	if err != nil {
-		return nil, err
+		return CommitArgs{}, err
 	}
 	a := CommitArgs{File: fh}
 	off, e1 := d.Uint64()
 	count, e2 := d.Uint32()
 	if err := xdr.Check(e1, e2); err != nil {
-		return nil, err
+		return CommitArgs{}, err
 	}
 	a.Offset = off
 	a.Count = count
-	return &a, nil
+	return a, nil
 }
 
 // CommitRes is COMMIT3res.
@@ -466,24 +469,24 @@ func (r *CommitRes) Encode(e *xdr.Encoder) {
 }
 
 // DecodeCommitRes decodes COMMIT3res.
-func DecodeCommitRes(d *xdr.Decoder) (*CommitRes, error) {
+func DecodeCommitRes(d *xdr.Decoder) (CommitRes, error) {
 	st, err := d.Uint32()
 	if err != nil {
-		return nil, err
+		return CommitRes{}, err
 	}
 	if _, err := d.Bool(); err != nil {
-		return nil, err
+		return CommitRes{}, err
 	}
 	if _, err := d.Bool(); err != nil {
-		return nil, err
+		return CommitRes{}, err
 	}
-	r := &CommitRes{Status: Status(st)}
+	r := CommitRes{Status: Status(st)}
 	if r.Status != NFS3OK {
 		return r, nil
 	}
 	verf, err := d.Uint64()
 	if err != nil {
-		return nil, err
+		return CommitRes{}, err
 	}
 	r.Verf = WriteVerf(verf)
 	return r, nil

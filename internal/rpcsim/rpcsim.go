@@ -192,7 +192,15 @@ func (e *DeadServerError) Error() string {
 		e.Server, e.XID, e.Retries)
 }
 
+// pendingCall is one slot-table entry, the 2.4 xprt's rpc_rqst. Entries
+// are reused from the transport's free list with their callbacks bound
+// once, so issuing a call allocates nothing. An entry goes back to the
+// free list when its call completes: after onReply for Call, after done
+// for CallSync. Its retransmit timer is canceled before then, and sim
+// event handles are generation-checked, so a timer from an entry's
+// previous call can never fire on its next one.
 type pendingCall struct {
+	t       *Transport
 	xid     uint32
 	enc     *xdr.Encoder // pooled encoder holding the call; nil once released
 	onReply func(body *xdr.Decoder)
@@ -200,9 +208,19 @@ type pendingCall struct {
 	sentAt  sim.Time
 	rto     sim.Time
 	retrans int
-	// sync marks CallSync: its decoder outlives the softirq iteration, so
-	// the reply buffer must not be recycled there.
-	sync bool
+	// resend is retransmit bound to this entry: the timer callback.
+	resend func()
+
+	// CallSync state. sync marks the call; replied is set, dec copied
+	// from the transport's decoder and reply kept when the answer lands;
+	// wq wakes the caller. dec and reply then belong to the caller until
+	// done runs.
+	sync    bool
+	replied bool
+	dec     xdr.Decoder
+	reply   []byte
+	wq      *sim.WaitQueue
+	done    func()
 }
 
 // Transport is a client-side RPC transport bound to one server.
@@ -217,11 +235,15 @@ type Transport struct {
 
 	nextXID  uint32
 	pending  map[uint32]*pendingCall
+	free     []*pendingCall
 	slotWait *sim.WaitQueue
 
 	rxq     sim.FIFO[netsim.Datagram]
 	rxWait  *sim.WaitQueue
 	softirq *sim.Proc
+	// dec decodes each reply in softirq context; onReply callbacks read
+	// it and must not keep it.
+	dec xdr.Decoder
 
 	// stream is the TCP-style connection (nil under TransportUDP).
 	stream *streamsim.Endpoint
@@ -300,7 +322,7 @@ func (t *Transport) Call(p *sim.Proc, proc uint32, encodeArgs func(*xdr.Encoder)
 	t.call(p, proc, encodeArgs, onReply, false)
 }
 
-func (t *Transport) call(p *sim.Proc, proc uint32, encodeArgs func(*xdr.Encoder), onReply func(*xdr.Decoder), sync bool) {
+func (t *Transport) call(p *sim.Proc, proc uint32, encodeArgs func(*xdr.Encoder), onReply func(*xdr.Decoder), sync bool) *pendingCall {
 	// Reserve a slot; sleeping here does not hold the BKL, which is why a
 	// slow server (slots always full) leaves the writer thread unimpeded
 	// — the paper's §3.5 paradox.
@@ -319,7 +341,8 @@ func (t *Transport) call(p *sim.Proc, proc uint32, encodeArgs func(*xdr.Encoder)
 	nfsproto.CallHeader{XID: xid, Proc: proc}.Encode(enc)
 	encodeArgs(enc)
 
-	pc := &pendingCall{xid: xid, enc: enc, onReply: onReply, sentAt: t.s.Now(), sync: sync}
+	pc := t.newCall()
+	pc.xid, pc.enc, pc.onReply, pc.sentAt, pc.sync = xid, enc, onReply, t.s.Now(), sync
 	t.pending[xid] = pc
 	t.stats.Calls++
 
@@ -328,6 +351,31 @@ func (t *Transport) call(p *sim.Proc, proc uint32, encodeArgs func(*xdr.Encoder)
 	t.cpu.Use(p, "xprt_transmit", t.cfg.RPCPrepCPU)
 	t.transmit(p, pc)
 	t.bkl.Unlock(p)
+	return pc
+}
+
+// newCall takes a slot-table entry from the free list, or makes one.
+func (t *Transport) newCall() *pendingCall {
+	if k := len(t.free); k > 0 {
+		pc := t.free[k-1]
+		t.free = t.free[:k-1]
+		return pc
+	}
+	pc := &pendingCall{t: t, wq: t.s.NewWaitQueue("rpc-sync")}
+	pc.resend = pc.retransmit
+	pc.done = pc.release
+	return pc
+}
+
+// release returns a completed call's entry to the free list, recycling
+// a CallSync reply buffer the caller has finished decoding.
+func (pc *pendingCall) release() {
+	if pc.reply != nil {
+		xdr.RecycleBuffer(pc.reply)
+	}
+	t := pc.t
+	*pc = pendingCall{t: t, resend: pc.resend, wq: pc.wq, done: pc.done}
+	t.free = append(t.free, pc)
 }
 
 // msgUnits returns how many wire units an RPC message costs the CPU:
@@ -372,9 +420,8 @@ func (t *Transport) transmit(p *sim.Proc, pc *pendingCall) {
 	}
 	res := t.send(pc)
 	t.stats.BytesSent += res.WireBytes
-	xid := pc.xid
 	pc.rto = t.cfg.RetransmitTimeout
-	pc.timer = t.s.After(pc.rto, func() { t.retransmit(xid) })
+	pc.timer = t.s.After(pc.rto, pc.resend)
 }
 
 // send puts a UDP call on the wire: its encoded head plus the counted
@@ -388,17 +435,16 @@ func (t *Transport) send(pc *pendingCall) netsim.SendResult {
 // timer firing. The resend's CPU cost is not charged — under loss the
 // stall, not the CPU, dominates). With MaxRetries set, a call that has
 // exhausted its budget is abandoned: the slot is freed and a
-// DeadServerError raised instead of retransmitting forever.
-func (t *Transport) retransmit(xid uint32) {
-	pc, ok := t.pending[xid]
-	if !ok {
-		return
-	}
+// DeadServerError raised instead of retransmitting forever. The timer is
+// canceled when the reply lands, so it only fires while the call is
+// pending.
+func (pc *pendingCall) retransmit() {
+	t := pc.t
 	if t.cfg.MaxRetries > 0 && pc.retrans >= t.cfg.MaxRetries {
-		delete(t.pending, xid)
+		delete(t.pending, pc.xid)
 		t.stats.MajorTimeouts++
 		t.slotWait.Signal()
-		panic(&DeadServerError{Server: t.remote, XID: xid, Retries: pc.retrans})
+		panic(&DeadServerError{Server: t.remote, XID: pc.xid, Retries: pc.retrans})
 	}
 	t.stats.Retransmits++
 	pc.retrans++
@@ -408,7 +454,7 @@ func (t *Transport) retransmit(xid uint32) {
 	if pc.rto > t.cfg.MaxRetransmitTimeout {
 		pc.rto = t.cfg.MaxRetransmitTimeout
 	}
-	pc.timer = t.s.After(pc.rto, func() { t.retransmit(xid) })
+	pc.timer = t.s.After(pc.rto, pc.resend)
 }
 
 // softirqLoop drains received datagrams: IP reassembly + UDP receive CPU,
@@ -424,7 +470,8 @@ func (t *Transport) softirqLoop(p *sim.Proc) {
 		t.cpu.Use(p, "udp_rcv",
 			t.cfg.ReplyCPUBase+sim.Time(t.msgUnits(reply.Size()))*t.cfg.ReplyCPUPerFragment)
 
-		d := xdr.NewBulkDecoder(reply.Payload, reply.Bulk)
+		d := &t.dec
+		d.Reset(reply.Payload, reply.Bulk)
 		hdr, err := nfsproto.DecodeReply(d)
 		if err != nil {
 			// A truncated or stale datagram (possible around a server
@@ -457,9 +504,6 @@ func (t *Transport) softirqLoop(p *sim.Proc) {
 		t.bkl.Unlock(p)
 
 		t.slotWait.Signal()
-		if pc.onReply != nil {
-			pc.onReply(d)
-		}
 		// The call's encode buffer: with zero retransmissions exactly one
 		// request datagram existed and the server is done with it (the
 		// reply proves delivery and service), so it can be recycled. A
@@ -467,30 +511,38 @@ func (t *Transport) softirqLoop(p *sim.Proc) {
 		// to the GC.
 		if pc.enc != nil && pc.retrans == 0 {
 			pc.enc.Release()
-			pc.enc = nil
+		}
+		pc.enc = nil
+		if pc.sync {
+			// The caller decodes after this loop has moved on, so the
+			// reply buffer and a copy of the decoder go with the call;
+			// done hands them back.
+			pc.dec, pc.reply, pc.replied = *d, reply.Payload, true
+			pc.wq.Signal()
+			continue
+		}
+		if pc.onReply != nil {
+			pc.onReply(d)
 		}
 		// The reply buffer is uniquely ours (UDP: the server's encode
-		// buffer, delivered once; TCP: a fresh record copy) and decoded
-		// aliases die with the callback — except under CallSync, whose
-		// caller reads the decoder after we loop on.
-		if !pc.sync {
-			xdr.RecycleBuffer(reply.Payload)
-		}
+		// buffer, delivered once; TCP: a fresh record copy), and decoded
+		// aliases die with the callback.
+		xdr.RecycleBuffer(reply.Payload)
+		pc.release()
 	}
 }
 
 // CallSync issues an RPC and blocks the calling process until the reply
-// arrives, returning the positioned decoder. Used for COMMIT and for
-// synchronous flush waits.
-func (t *Transport) CallSync(p *sim.Proc, proc uint32, encodeArgs func(*xdr.Encoder)) *xdr.Decoder {
-	var reply *xdr.Decoder
-	done := t.s.NewWaitQueue("rpc-sync")
-	t.call(p, proc, encodeArgs, func(d *xdr.Decoder) {
-		reply = d
-		done.Broadcast()
-	}, true)
-	for reply == nil {
-		done.Wait(p)
+// arrives, returning the decoder positioned after the reply header. Used
+// for COMMIT, the metadata procedures and synchronous writes. The
+// decoder and the reply bytes it reads belong to the caller until it
+// calls done, which returns them and the call's slot-table entry for
+// reuse; neither may be used after that. A caller that never calls done
+// leaves them to the GC.
+func (t *Transport) CallSync(p *sim.Proc, proc uint32, encodeArgs func(*xdr.Encoder)) (d *xdr.Decoder, done func()) {
+	pc := t.call(p, proc, encodeArgs, nil, true)
+	for !pc.replied {
+		pc.wq.Wait(p)
 	}
-	return reply
+	return &pc.dec, pc.done
 }

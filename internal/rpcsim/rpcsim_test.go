@@ -59,7 +59,7 @@ func TestCallSyncRoundTrip(t *testing.T) {
 	rig := newRig(t, DefaultConfig(), 100*time.Microsecond, 0)
 	done := false
 	rig.s.Go("caller", func(p *sim.Proc) {
-		d := rig.tr.CallSync(p, nfsproto.ProcNull, nullArgs)
+		d, _ := rig.tr.CallSync(p, nfsproto.ProcNull, nullArgs)
 		if d == nil {
 			t.Error("nil reply decoder")
 		}
@@ -438,7 +438,7 @@ func TestTCPCallRoundTrip(t *testing.T) {
 	s, tr := tcpRig(t, 7, 0, 100*time.Microsecond)
 	done := false
 	s.Go("caller", func(p *sim.Proc) {
-		if d := tr.CallSync(p, nfsproto.ProcNull, nullArgs); d == nil {
+		if d, _ := tr.CallSync(p, nfsproto.ProcNull, nullArgs); d == nil {
 			t.Error("nil reply decoder")
 		}
 		done = true
@@ -539,5 +539,140 @@ func TestManyCallersProperty(t *testing.T) {
 		if st.Calls != callers*perCaller || st.Replies != st.Calls || st.Retransmits != 0 {
 			t.Fatalf("seed %d: stats %+v", seed, st)
 		}
+	}
+}
+
+// replyWith answers a call the way the server does: a pooled encoder
+// whose head buffer is handed to the datagram.
+func replyWith(net *netsim.Network, xid uint32, body func(*xdr.Encoder)) {
+	e := xdr.AcquireEncoder()
+	nfsproto.ReplyHeader{XID: xid}.Encode(e)
+	body(e)
+	head, bulk := e.Detach()
+	net.Send(netsim.Datagram{From: "srv", To: "c", Payload: head, Bulk: bulk})
+}
+
+// A completed call's slot-table entry is reused by the next call. The
+// retransmit timer the entry armed for its old call must never fire on
+// the new one: here the stale timer would be due while the new call is
+// still outstanding, and every counter must show exactly the two
+// retransmissions the two calls earned themselves.
+func TestReusedCallIgnoresStaleTimer(t *testing.T) {
+	rig := newRig(t, DefaultConfig(), 0, 0)
+	seen := map[uint32]int{}
+	rig.net.SetHandler("srv", func(dg netsim.Datagram) {
+		hdr, err := nfsproto.DecodeCall(xdr.NewDecoder(dg.Payload))
+		if err != nil {
+			t.Fatalf("responder: %v", err)
+		}
+		seen[hdr.XID]++
+		if hdr.XID == 1 && seen[1] == 1 {
+			return // lose call 1's first transmission
+		}
+		delay := 100 * time.Microsecond
+		if hdr.XID == 2 {
+			delay = 3 * time.Second // outlasts call 1's re-armed timer
+		}
+		rig.s.After(delay, func() { replyWith(rig.net, hdr.XID, func(*xdr.Encoder) {}) })
+	})
+	var d1, d2 *xdr.Decoder
+	rig.s.Go("caller", func(p *sim.Proc) {
+		var done func()
+		d1, done = rig.tr.CallSync(p, nfsproto.ProcNull, nullArgs)
+		done()
+		d2, done = rig.tr.CallSync(p, nfsproto.ProcNull, nullArgs)
+		done()
+	})
+	// Call 1's timer, re-armed for 3.3 s, is due while call 2 waits for
+	// its answer at 4.1 s.
+	rig.s.Run(4 * time.Second)
+	if st := rig.tr.Stats(); st.Retransmits != 2 {
+		t.Fatalf("retransmits by 4 s = %d, want 2: a stale timer resent the new call", st.Retransmits)
+	}
+	rig.s.Run(10 * time.Second)
+
+	if d1 == nil || d2 == nil {
+		t.Fatal("calls never completed")
+	}
+	if d1 != d2 {
+		t.Fatal("the second call did not reuse the first call's slot-table entry")
+	}
+	st := rig.tr.Stats()
+	// Call 1: lost, resent at 1.1 s, answered. Call 2: resent by its own
+	// timer at 2.2 s, answered at 4.1 s, and its resend's answer arrives
+	// as a duplicate.
+	if st.Calls != 2 || st.Replies != 2 || st.Retransmits != 2 || st.DuplicateReplies != 1 || st.RTTSamples != 0 {
+		t.Fatalf("stats = %+v, want 2 calls, 2 replies, 2 retransmits, 1 duplicate, no RTT samples", st)
+	}
+	if c, s := rig.net.HostStats("c"), rig.net.HostStats("srv"); c.FramesSent != 4 || s.FramesRecv != 4 || s.FramesSent != 3 || c.FramesRecv != 3 {
+		t.Fatalf("frames: client sent %d, server received %d, server sent %d, client received %d; want 4, 4, 3, 3",
+			c.FramesSent, s.FramesRecv, s.FramesSent, c.FramesRecv)
+	}
+	if seen[1] != 2 || seen[2] != 2 {
+		t.Fatalf("transmissions seen by the server: %v, want two of each call", seen)
+	}
+}
+
+// A CallSync caller decodes its reply after the softirq has moved on.
+// The decoder and reply bytes it holds are its own until done: another
+// call's reply, handled in between, must not show through them.
+func TestCallSyncReplyOutlivesNextReply(t *testing.T) {
+	rig := newRig(t, DefaultConfig(), 0, 0)
+	rig.net.SetHandler("srv", func(dg netsim.Datagram) {
+		hdr, err := nfsproto.DecodeCall(xdr.NewDecoder(dg.Payload))
+		if err != nil {
+			t.Fatalf("responder: %v", err)
+		}
+		rig.s.After(100*time.Microsecond, func() {
+			replyWith(rig.net, hdr.XID, func(e *xdr.Encoder) {
+				if hdr.Proc == nfsproto.ProcGetattr {
+					e.Uint32(111)
+				} else {
+					e.Uint32(222)
+					e.Uint32(333)
+				}
+			})
+		})
+	})
+	syncReturned := rig.s.NewWaitQueue("sync-returned")
+	otherAnswered := rig.s.NewWaitQueue("other-answered")
+	returned, answered := false, false
+	var got []uint32
+	rig.s.Go("sync", func(p *sim.Proc) {
+		d, done := rig.tr.CallSync(p, nfsproto.ProcGetattr, nullArgs)
+		returned = true
+		syncReturned.Signal()
+		for !answered {
+			otherAnswered.Wait(p)
+		}
+		for d.Remaining() > 0 {
+			v, err := d.Uint32()
+			if err != nil {
+				t.Fatalf("decode: %v", err)
+			}
+			got = append(got, v)
+		}
+		done()
+	})
+	rig.s.Go("async", func(p *sim.Proc) {
+		for !returned {
+			syncReturned.Wait(p)
+		}
+		rig.tr.Call(p, nfsproto.ProcLookup, nullArgs, func(d *xdr.Decoder) {
+			a, _ := d.Uint32()
+			b, _ := d.Uint32()
+			if a != 222 || b != 333 {
+				t.Errorf("async reply body = %d %d, want 222 333", a, b)
+			}
+			answered = true
+			otherAnswered.Signal()
+		})
+	})
+	rig.s.Run(time.Second)
+	if len(got) != 1 || got[0] != 111 {
+		t.Fatalf("CallSync reply body = %v, want [111]", got)
+	}
+	if st := rig.tr.Stats(); st.Replies != 2 {
+		t.Fatalf("replies = %d, want 2", st.Replies)
 	}
 }

@@ -98,12 +98,12 @@ func TestChangeSurvivesCrashRestart(t *testing.T) {
 	r.s.Go("w", func(p *sim.Proc) {
 		write := func() *nfsproto.WriteRes {
 			args := nfsproto.WriteArgs{File: fh, Offset: 0, Count: 8192, Stable: nfsproto.Unstable, Data: make([]byte, 8192)}
-			d := r.tr.CallSync(p, nfsproto.ProcWrite, args.Encode)
+			d, _ := r.tr.CallSync(p, nfsproto.ProcWrite, args.Encode)
 			res, err := nfsproto.DecodeWriteRes(d)
 			if err != nil {
 				t.Errorf("decode: %v", err)
 			}
-			return res
+			return &res
 		}
 		before = write()
 		r.srv.Crash()
@@ -137,12 +137,12 @@ func TestWriteReplyCarriesWccOnWire(t *testing.T) {
 	var res *nfsproto.WriteRes
 	r.s.Go("w", func(p *sim.Proc) {
 		args := nfsproto.WriteArgs{File: fh, Offset: 8192, Count: 8192, Stable: nfsproto.Unstable, Data: make([]byte, 8192)}
-		d := r.tr.CallSync(p, nfsproto.ProcWrite, args.Encode)
-		var err error
-		res, err = nfsproto.DecodeWriteRes(d)
+		d, _ := r.tr.CallSync(p, nfsproto.ProcWrite, args.Encode)
+		got, err := nfsproto.DecodeWriteRes(d)
 		if err != nil {
 			t.Errorf("decode: %v", err)
 		}
+		res = &got
 	})
 	r.s.Run(time.Minute)
 	if res == nil || res.Status != nfsproto.NFS3OK {

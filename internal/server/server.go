@@ -29,7 +29,9 @@ import (
 
 // Backend is an NFS read/write/commit implementation behind the RPC
 // front-end. Handlers run on an nfsd worker process and may block in
-// virtual time.
+// virtual time. The args each handler receives belong to the worker,
+// which decodes its next request into them: a handler must not keep the
+// pointer once it returns.
 type Backend interface {
 	// HandleRead services a READ3 request. The returned Data must be
 	// Count bytes long — its length is what puts read wire time on the
@@ -285,7 +287,18 @@ func (srv *Server) NetworkThroughputMBps() float64 {
 	return float64(srv.BytesWritten) / 1e6 / w.Seconds()
 }
 
+// workerState is what one nfsd worker reuses from request to request:
+// the call decoder and the decoded arguments the backend handlers take
+// by pointer.
+type workerState struct {
+	dec    xdr.Decoder
+	write  nfsproto.WriteArgs
+	read   nfsproto.ReadArgs
+	commit nfsproto.CommitArgs
+}
+
 func (srv *Server) worker(p *sim.Proc) {
+	w := new(workerState)
 	for {
 		for srv.rxq.Len() == 0 {
 			srv.rxWait.Wait(p)
@@ -296,7 +309,7 @@ func (srv *Server) worker(p *sim.Proc) {
 		if srv.BusyWorkers > srv.MaxBusy {
 			srv.MaxBusy = srv.BusyWorkers
 		}
-		srv.serve(p, item, srv.gen)
+		srv.serve(p, w, item, srv.gen)
 		if srv.cfg.Transport == rpcsim.TransportTCP {
 			// TCP requests are fresh record copies from the stream
 			// reassembler; all decoded aliases died with serve. (UDP
@@ -311,10 +324,11 @@ func (srv *Server) worker(p *sim.Proc) {
 // serve handles one request. gen is the server generation that dequeued
 // it: if the server crashes while the request is in service, the computed
 // reply is discarded instead of being sent by the restarted instance.
-func (srv *Server) serve(p *sim.Proc, item rxItem, gen int) {
+func (srv *Server) serve(p *sim.Proc, w *workerState, item rxItem, gen int) {
 	srv.cpu.Use(p, "nfsd_recv", srv.cfg.RecvCPUBase+sim.Time(item.frags)*srv.cfg.RecvCPUPerFragment)
 
-	d := xdr.NewBulkDecoder(item.payload, item.bulk)
+	d := &w.dec
+	d.Reset(item.payload, item.bulk)
 	hdr, err := nfsproto.DecodeCall(d)
 	if err != nil {
 		panic(fmt.Sprintf("server %s: bad call: %v", srv.cfg.Host, err))
@@ -325,7 +339,8 @@ func (srv *Server) serve(p *sim.Proc, item rxItem, gen int) {
 
 	switch hdr.Proc {
 	case nfsproto.ProcRead:
-		args, err := nfsproto.DecodeReadArgs(d)
+		args := &w.read
+		*args, err = nfsproto.DecodeReadArgs(d)
 		if err != nil {
 			panic(fmt.Sprintf("server %s: bad READ args: %v", srv.cfg.Host, err))
 		}
@@ -337,7 +352,8 @@ func (srv *Server) serve(p *sim.Proc, item rxItem, gen int) {
 		}
 		res.Encode(reply)
 	case nfsproto.ProcWrite:
-		args, err := nfsproto.DecodeWriteArgs(d)
+		args := &w.write
+		*args, err = nfsproto.DecodeWriteArgs(d)
 		if err != nil {
 			panic(fmt.Sprintf("server %s: bad WRITE args: %v", srv.cfg.Host, err))
 		}
@@ -397,7 +413,8 @@ func (srv *Server) serve(p *sim.Proc, item rxItem, gen int) {
 		res := nfsproto.RemoveRes{Status: st, Wcc: wcc}
 		res.Encode(reply)
 	case nfsproto.ProcCommit:
-		args, err := nfsproto.DecodeCommitArgs(d)
+		args := &w.commit
+		*args, err = nfsproto.DecodeCommitArgs(d)
 		if err != nil {
 			panic(fmt.Sprintf("server %s: bad COMMIT args: %v", srv.cfg.Host, err))
 		}
@@ -425,8 +442,10 @@ func (srv *Server) serve(p *sim.Proc, item rxItem, gen int) {
 		srv.conn(item.from).SendRecord(reply.Bytes())
 		reply.Release()
 	} else {
-		// Ownership of the reply head moves to the datagram; the client's
-		// softirq loop recycles it after the completion callback.
-		srv.net.Send(netsim.Datagram{From: srv.cfg.Host, To: item.from, Payload: reply.Head(), Bulk: reply.Bulk()})
+		// Ownership of the reply head moves to the datagram and the
+		// encoder shell goes back to the pool; the client's softirq loop
+		// (or, for CallSync, its caller) recycles the head once decoded.
+		head, bulk := reply.Detach()
+		srv.net.Send(netsim.Datagram{From: srv.cfg.Host, To: item.from, Payload: head, Bulk: bulk})
 	}
 }

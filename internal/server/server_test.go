@@ -78,7 +78,7 @@ func writeFile(r *rig, fh nfsproto.FileHandle, total int64, commit bool) sim.Tim
 		}
 		if commit {
 			args := nfsproto.CommitArgs{File: fh, Offset: 0, Count: 0}
-			d := r.tr.CallSync(p, nfsproto.ProcCommit, args.Encode)
+			d, _ := r.tr.CallSync(p, nfsproto.ProcCommit, args.Encode)
 			if res, err := nfsproto.DecodeCommitRes(d); err != nil || res.Status != nfsproto.NFS3OK {
 				panic("bad commit result")
 			}
@@ -95,7 +95,7 @@ func TestFilerWriteRepliesFileSync(t *testing.T) {
 	var committed nfsproto.StableHow
 	r.s.Go("w", func(p *sim.Proc) {
 		args := nfsproto.WriteArgs{File: fh, Offset: 0, Count: 8192, Stable: nfsproto.Unstable, Data: make([]byte, 8192)}
-		d := r.tr.CallSync(p, nfsproto.ProcWrite, args.Encode)
+		d, _ := r.tr.CallSync(p, nfsproto.ProcWrite, args.Encode)
 		res, err := nfsproto.DecodeWriteRes(d)
 		if err != nil {
 			t.Errorf("decode: %v", err)
@@ -116,13 +116,13 @@ func TestLinuxWriteRepliesUnstableAndCommitWorks(t *testing.T) {
 	var committed nfsproto.StableHow
 	r.s.Go("w", func(p *sim.Proc) {
 		args := nfsproto.WriteArgs{File: fh, Offset: 0, Count: 8192, Stable: nfsproto.Unstable, Data: make([]byte, 8192)}
-		d := r.tr.CallSync(p, nfsproto.ProcWrite, args.Encode)
+		d, _ := r.tr.CallSync(p, nfsproto.ProcWrite, args.Encode)
 		res, _ := nfsproto.DecodeWriteRes(d)
 		committed = res.Committed
 		if l.Dirty() != 8192 {
 			t.Errorf("dirty = %d after unstable write", l.Dirty())
 		}
-		cd := r.tr.CallSync(p, nfsproto.ProcCommit, (&nfsproto.CommitArgs{File: fh}).Encode)
+		cd, _ := r.tr.CallSync(p, nfsproto.ProcCommit, (&nfsproto.CommitArgs{File: fh}).Encode)
 		if res, err := nfsproto.DecodeCommitRes(cd); err != nil || res.Status != nfsproto.NFS3OK {
 			t.Errorf("commit failed: %v %v", res, err)
 		}
@@ -148,7 +148,7 @@ func TestLinuxStableWriteWaitsForDisk(t *testing.T) {
 
 		t0 = r.s.Now()
 		args2 := nfsproto.WriteArgs{File: fh, Offset: 8192, Count: 8192, Stable: nfsproto.FileSync, Data: make([]byte, 8192)}
-		d := r.tr.CallSync(p, nfsproto.ProcWrite, args2.Encode)
+		d, _ := r.tr.CallSync(p, nfsproto.ProcWrite, args2.Encode)
 		res, _ := nfsproto.DecodeWriteRes(d)
 		if res.Committed != nfsproto.FileSync {
 			t.Errorf("stable write committed = %v", res.Committed)
@@ -282,13 +282,13 @@ func TestReadServedByBothBackends(t *testing.T) {
 		var got *nfsproto.ReadRes
 		r.s.Go("r", func(p *sim.Proc) {
 			args := nfsproto.ReadArgs{File: fh, Offset: 16384, Count: 8192}
-			d := r.tr.CallSync(p, nfsproto.ProcRead, args.Encode)
+			d, _ := r.tr.CallSync(p, nfsproto.ProcRead, args.Encode)
 			res, err := nfsproto.DecodeReadRes(d)
 			if err != nil {
 				t.Errorf("%s: decode: %v", kind, err)
 				return
 			}
-			got = res
+			got = &res
 		})
 		r.s.Run(time.Minute)
 		if got == nil || got.Status != nfsproto.NFS3OK || got.Count != 8192 {
@@ -312,7 +312,8 @@ func TestSequentialReadsAvoidSeeks(t *testing.T) {
 	r.s.Go("r", func(p *sim.Proc) {
 		for off := int64(0); off < 10*8192; off += 8192 {
 			args := nfsproto.ReadArgs{File: nfsproto.MakeFileHandle(1, 4), Offset: uint64(off), Count: 8192}
-			if res, err := nfsproto.DecodeReadRes(r.tr.CallSync(p, nfsproto.ProcRead, args.Encode)); err != nil || res.Status != nfsproto.NFS3OK {
+			d, _ := r.tr.CallSync(p, nfsproto.ProcRead, args.Encode)
+			if res, err := nfsproto.DecodeReadRes(d); err != nil || res.Status != nfsproto.NFS3OK {
 				t.Errorf("read failed: %v %v", res, err)
 			}
 		}

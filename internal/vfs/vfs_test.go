@@ -1,6 +1,7 @@
 package vfs
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -9,7 +10,7 @@ import (
 )
 
 func TestSplitPagesAligned8K(t *testing.T) {
-	spans := SplitPages(0, 8192)
+	spans := slices.Collect(Pages(0, 8192))
 	if len(spans) != 2 {
 		t.Fatalf("8 KB write = %d spans, want 2 (\"two pages, thus two requests\")", len(spans))
 	}
@@ -22,7 +23,7 @@ func TestSplitPagesAligned8K(t *testing.T) {
 
 func TestSplitPagesUnaligned(t *testing.T) {
 	// 8000 bytes starting at byte 1000: crosses three pages.
-	spans := SplitPages(1000, 8000)
+	spans := slices.Collect(Pages(1000, 8000))
 	if len(spans) != 3 {
 		t.Fatalf("spans = %d, want 3", len(spans))
 	}
@@ -38,7 +39,7 @@ func TestSplitPagesUnaligned(t *testing.T) {
 }
 
 func TestSplitPagesEmpty(t *testing.T) {
-	if SplitPages(0, 0) != nil || SplitPages(100, -5) != nil {
+	if len(slices.Collect(Pages(0, 0))) != 0 || len(slices.Collect(Pages(100, -5))) != 0 {
 		t.Fatal("degenerate writes should produce no spans")
 	}
 }
@@ -49,9 +50,9 @@ func TestSplitPagesProperty(t *testing.T) {
 	f := func(offRaw uint32, nRaw uint16) bool {
 		off, n := int64(offRaw), int(nRaw)
 		if n == 0 {
-			return SplitPages(off, n) == nil
+			return len(slices.Collect(Pages(off, n))) == 0
 		}
-		spans := SplitPages(off, n)
+		spans := slices.Collect(Pages(off, n))
 		pos := off
 		total := 0
 		for _, sp := range spans {

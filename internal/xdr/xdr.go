@@ -7,7 +7,11 @@
 // beyond its length, is carried as a count: an opaque whose bytes are a
 // view of the shared zero slab (Zeroes) is counted, not copied, and the
 // encoder and decoder treat those counted bytes as zeros that follow the
-// encoded head.
+// encoded head. The RPC hot paths reuse encoders, head buffers and
+// decoders instead of allocating per message: AcquireEncoder, Release,
+// Detach and RecycleBuffer move encoders through two pools that hold
+// only *Encoder, and Decoder.Reset points a long-lived decoder at the
+// next message.
 package xdr
 
 import (
@@ -65,25 +69,35 @@ func isZeroes(b []byte) bool { return len(b) > 0 && &b[0] == &zeroes[0] }
 // Buffer contents never influence behaviour (every byte is written
 // before it is read), so pooling cannot change simulation output;
 // sync.Pool keeps concurrent sweep workers race-free.
+//
+// Both pools hold only *Encoder: putting a []byte in a sync.Pool boxes
+// its slice header, one allocation per Put. encPool holds encoders with
+// a head buffer, shellPool encoders without one. A message's head
+// buffer travels on its own once Detach hands it to a datagram, and
+// RecycleBuffer puts it back into a shell, so a round trip moves
+// encoders between the two pools without allocating.
 var (
-	encPool sync.Pool
-	bufPool sync.Pool
+	encPool   sync.Pool
+	shellPool sync.Pool
 )
 
+// shell returns a pooled encoder without a buffer, or a new one.
+func shell() *Encoder {
+	if e, ok := shellPool.Get().(*Encoder); ok {
+		return e
+	}
+	return &Encoder{}
+}
+
 // AcquireEncoder returns a pooled encoder. Pair with Release once the
-// encoded bytes are no longer referenced by anyone.
+// encoded bytes are no longer referenced by anyone, or with Detach to
+// hand the head buffer on.
 func AcquireEncoder() *Encoder {
-	e, _ := encPool.Get().(*Encoder)
-	if e == nil {
-		e = &Encoder{}
+	if e, ok := encPool.Get().(*Encoder); ok {
+		return e
 	}
-	if e.buf == nil {
-		if b, ok := bufPool.Get().([]byte); ok {
-			e.buf = b
-		} else {
-			e.buf = make([]byte, 0, 256)
-		}
-	}
+	e := shell()
+	e.buf = make([]byte, 0, 256)
 	return e
 }
 
@@ -91,18 +105,33 @@ func AcquireEncoder() *Encoder {
 // asserts that no slice of the buffer (Head, Bytes, decoded aliases) is
 // still live.
 func (e *Encoder) Release() {
-	if e.buf != nil {
-		bufPool.Put(e.buf[:0])
-		e.buf = nil
-	}
 	e.bulk = 0
+	if e.buf == nil {
+		shellPool.Put(e)
+		return
+	}
+	e.buf = e.buf[:0]
 	encPool.Put(e)
+}
+
+// Detach returns the message's head and bulk count and releases the
+// encoder without its buffer. The head now belongs to the caller, who
+// passes it to RecycleBuffer once its bytes are dead.
+func (e *Encoder) Detach() (head []byte, bulk int) {
+	head, bulk = e.Head(), e.Bulk()
+	e.buf = nil
+	e.Release()
+	return head, bulk
 }
 
 // RecycleBuffer returns a wire payload whose bytes are dead — fully
 // consumed by a decoder whose aliases have been dropped — to the encode
 // buffer pool.
-func RecycleBuffer(b []byte) { bufPool.Put(b[:0]) }
+func RecycleBuffer(b []byte) {
+	e := shell()
+	e.buf = b[:0]
+	encPool.Put(e)
+}
 
 // Bytes returns the whole encoded message (not a copy), writing any
 // counted bulk out as zero bytes.
@@ -219,6 +248,12 @@ func NewDecoder(b []byte) *Decoder { return &Decoder{buf: b} }
 // NewDecoder would over the written-out message.
 func NewBulkDecoder(head []byte, bulk int) *Decoder {
 	return &Decoder{buf: head, bulk: bulk}
+}
+
+// Reset points the decoder at a new message, as NewBulkDecoder would, so
+// a long-lived decoder can be reused for every message it reads.
+func (d *Decoder) Reset(head []byte, bulk int) {
+	*d = Decoder{buf: head, bulk: bulk}
 }
 
 // Remaining returns the number of unread bytes.
