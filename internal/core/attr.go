@@ -9,6 +9,12 @@ import (
 	"repro/internal/vfs"
 )
 
+// CPU profiler labels, resolved once.
+var (
+	labelNFSLookup = sim.NewLabel("nfs_lookup")
+	labelNFSRemove = sim.NewLabel("nfs_remove")
+)
+
 // attrEntry is one cached LOOKUP/GETATTR result, keyed by name in the
 // mount's root directory. timeout is the adaptive attribute-cache window
 // clamped to [AcRegMin, AcRegMax]: it starts at the minimum and doubles
@@ -126,7 +132,7 @@ func (c *Client) createRPC(p *sim.Proc, name string) (nfsproto.FileHandle, nfspr
 // server (its reply carries current attributes, so it doubles as an
 // open-time revalidation).
 func (c *Client) resolve(p *sim.Proc, name string) (e *attrEntry, ok, fetched bool) {
-	c.cpu.Use(p, "nfs_lookup", c.cfg.Costs.MetaOpBase)
+	c.cpu.Use(p, labelNFSLookup, c.cfg.Costs.MetaOpBase)
 	if c.acEnabled() {
 		if e, ok := c.attrCache[name]; ok &&
 			(e.fresh(c.s.Now()) || c.cfg.Consistency != ConsistencyTTL) {
@@ -259,7 +265,7 @@ func (c *Client) Stat(p *sim.Proc, name string) (int64, bool) {
 // Remove unlinks name at the server and invalidates its cached
 // attributes and cached inode, reporting whether it existed.
 func (c *Client) Remove(p *sim.Proc, name string) bool {
-	c.cpu.Use(p, "nfs_remove", c.cfg.Costs.MetaOpBase)
+	c.cpu.Use(p, labelNFSRemove, c.cfg.Costs.MetaOpBase)
 	c.invalidateAttr(name)
 	if ino, ok := c.namedInodes[name]; ok {
 		// The name is dead; a re-create mints a new handle. An inode

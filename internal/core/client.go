@@ -13,6 +13,16 @@ import (
 	"repro/internal/xdr"
 )
 
+// CPU profiler labels, resolved once.
+var (
+	labelNFSFindRequestHash   = sim.NewLabel("nfs_find_request(hash)")
+	labelNFSFindRequest       = sim.NewLabel("nfs_find_request")
+	labelNFSCommitWrite       = sim.NewLabel("nfs_commit_write")
+	labelNFSUpdateRequest     = sim.NewLabel("nfs_update_request")
+	labelNFSUpdateRequestScan = sim.NewLabel("nfs_update_request(scan)")
+	labelNFSCoalesce          = sim.NewLabel("nfs_coalesce")
+)
+
 // Client is one NFS mount's client state: the per-inode request queues,
 // the mount-wide request count the hard limit applies to, and the
 // write-behind daemon.
@@ -400,9 +410,9 @@ func (ino *Inode) Outstanding() int { return ino.reqs.Len() + ino.inflightPages 
 func (c *Client) lookup(p *sim.Proc, ino *Inode, page int64) *Request {
 	r, scanned := ino.reqs.Find(page)
 	if c.cfg.IndexPolicy == IndexHashTable {
-		c.cpu.Use(p, "nfs_find_request(hash)", c.cfg.Costs.HashLookup)
+		c.cpu.Use(p, labelNFSFindRequestHash, c.cfg.Costs.HashLookup)
 	} else {
-		c.cpu.Use(p, "nfs_find_request", sim.Time(scanned)*c.cfg.Costs.ListScanPerEntry)
+		c.cpu.Use(p, labelNFSFindRequest, sim.Time(scanned)*c.cfg.Costs.ListScanPerEntry)
 	}
 	return r
 }
@@ -422,20 +432,20 @@ func (c *Client) lookup(p *sim.Proc, ino *Inode, page int64) *Request {
 func (c *Client) commitPage(p *sim.Proc, ino *Inode, page int64, offset, count int) int {
 	for {
 		c.bkl.Lock(p, "nfs_commit_write")
-		c.cpu.Use(p, "nfs_commit_write", c.cfg.Costs.CommitWriteBase)
+		c.cpu.Use(p, labelNFSCommitWrite, c.cfg.Costs.CommitWriteBase)
 
 		// First search: incompatible requests that would need flushing.
 		existing := c.lookup(p, ino, page)
 
 		// Second search + update/insert: nfs_update_request. Either way
 		// the page ends up in the page cache, readable without an RPC.
-		c.cpu.Use(p, "nfs_update_request", c.cfg.Costs.UpdateRequestBase)
+		c.cpu.Use(p, labelNFSUpdateRequest, c.cfg.Costs.UpdateRequestBase)
 		ino.markResident(page)
 		if existing == nil {
 			scanned := ino.reqs.Insert(&Request{Page: page, Offset: offset, Count: count, CreatedAt: c.s.Now()})
 			if c.cfg.IndexPolicy != IndexHashTable {
 				// The real code walks the sorted list again to insert.
-				c.cpu.Use(p, "nfs_update_request(scan)", sim.Time(scanned)*c.cfg.Costs.ListScanPerEntry)
+				c.cpu.Use(p, labelNFSUpdateRequestScan, sim.Time(scanned)*c.cfg.Costs.ListScanPerEntry)
 			}
 			c.mountRequests++
 			c.bkl.Unlock(p)
@@ -543,7 +553,7 @@ type flushTicket struct {
 func (c *Client) sendOne(p *sim.Proc, ino *Inode, ticket *flushTicket) int {
 	c.bkl.Lock(p, "nfs_coalesce")
 	run, scanned := ino.reqs.PopRun(c.cfg.WSize)
-	c.cpu.Use(p, "nfs_coalesce",
+	c.cpu.Use(p, labelNFSCoalesce,
 		c.cfg.Costs.CoalesceBase+sim.Time(scanned)*c.cfg.Costs.ListScanPerEntry)
 	if len(run) == 0 {
 		c.bkl.Unlock(p)

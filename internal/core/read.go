@@ -9,6 +9,11 @@ import (
 	"repro/internal/xdr"
 )
 
+// CPU profiler labels, resolved once.
+var (
+	labelNFSReadpage = sim.NewLabel("nfs_readpage")
+)
+
 // The client read path: generic_file_read asks nfs_readpage for each
 // page; a resident page is a cache hit served from memory, a miss issues
 // an async READ RPC for the rsize chunk containing the page plus the
@@ -62,7 +67,7 @@ func (ino *Inode) ReadaheadWindow() int { return ino.ra.Window() }
 func (c *Client) readPage(p *sim.Proc, ino *Inode, page int64) {
 	c.ensureReadState(ino)
 	c.bkl.Lock(p, "nfs_readpage")
-	c.cpu.Use(p, "nfs_readpage", c.cfg.Costs.ReadPageBase)
+	c.cpu.Use(p, labelNFSReadpage, c.cfg.Costs.ReadPageBase)
 	hit := ino.resident(page)
 	c.cache.NoteRead(hit)
 	if hit && ino.staleOpen {

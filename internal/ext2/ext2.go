@@ -15,6 +15,11 @@ import (
 	"repro/internal/vfs"
 )
 
+// CPU profiler labels, resolved once.
+var (
+	labelExt2CommitWrite = sim.NewLabel("ext2_commit_write")
+)
+
 // File is a local ext2 file.
 type File struct {
 	s     *sim.Sim
@@ -91,7 +96,7 @@ func (f *File) WriteAt(p *sim.Proc, off int64, n int) {
 		panic("ext2: negative write offset or length")
 	}
 	vfs.WriteSyscall(p, f.cpu, f.costs, off, n, func(span vfs.PageSpan) {
-		f.cpu.Use(p, "ext2_commit_write", ext2CommitCPU)
+		f.cpu.Use(p, labelExt2CommitWrite, ext2CommitCPU)
 		f.cache.ChargeDirty(p, int64(span.Count))
 		f.dirty += int64(span.Count)
 	})

@@ -22,6 +22,14 @@ import (
 	"repro/internal/xdr"
 )
 
+// CPU profiler labels, resolved once.
+var (
+	labelXprtTransmit = sim.NewLabel("xprt_transmit")
+	labelSockSendmsg  = sim.NewLabel("sock_sendmsg")
+	labelUDPRcv       = sim.NewLabel("udp_rcv")
+	labelRPCReply     = sim.NewLabel("rpc_reply")
+)
+
 // TransportKind selects the wire protocol under the RPC layer.
 type TransportKind int
 
@@ -348,7 +356,7 @@ func (t *Transport) call(p *sim.Proc, proc uint32, encodeArgs func(*xdr.Encoder)
 
 	// xprt_transmit: RPC bookkeeping under the BKL in both policies.
 	t.bkl.Lock(p, "xprt_transmit")
-	t.cpu.Use(p, "xprt_transmit", t.cfg.RPCPrepCPU)
+	t.cpu.Use(p, labelXprtTransmit, t.cfg.RPCPrepCPU)
 	t.transmit(p, pc)
 	t.bkl.Unlock(p)
 	return pc
@@ -397,13 +405,13 @@ func (t *Transport) transmit(p *sim.Proc, pc *pendingCall) {
 	case HoldBKLAcrossSend:
 		// Stock 2.4.4: the network layer runs entirely under the BKL.
 		t.bkl.Relabel(p, "sock_sendmsg")
-		t.cpu.Use(p, "sock_sendmsg", sendCPU)
+		t.cpu.Use(p, labelSockSendmsg, sendCPU)
 		t.bkl.Relabel(p, "xprt_transmit")
 	case ReleaseBKLForSend:
 		// The fix: "release the lock before calling sock_sendmsg, then
 		// reacquire the lock when it returns" (§3.5).
 		t.bkl.Unlock(p)
-		t.cpu.Use(p, "sock_sendmsg", sendCPU)
+		t.cpu.Use(p, labelSockSendmsg, sendCPU)
 		t.bkl.Lock(p, "xprt_transmit")
 	}
 
@@ -467,7 +475,7 @@ func (t *Transport) softirqLoop(p *sim.Proc) {
 		}
 		reply := t.rxq.Pop()
 
-		t.cpu.Use(p, "udp_rcv",
+		t.cpu.Use(p, labelUDPRcv,
 			t.cfg.ReplyCPUBase+sim.Time(t.msgUnits(reply.Size()))*t.cfg.ReplyCPUPerFragment)
 
 		d := &t.dec
@@ -490,7 +498,7 @@ func (t *Transport) softirqLoop(p *sim.Proc) {
 
 		// rpc reply state update holds the BKL briefly in both policies.
 		t.bkl.Lock(p, "rpc_reply")
-		t.cpu.Use(p, "rpc_reply", t.cfg.ReplyBKLHold)
+		t.cpu.Use(p, labelRPCReply, t.cfg.ReplyBKLHold)
 		pc.timer.Cancel()
 		delete(t.pending, hdr.XID)
 		t.stats.Replies++

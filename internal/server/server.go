@@ -27,6 +27,19 @@ import (
 	"repro/internal/xdr"
 )
 
+// CPU profiler labels, resolved once.
+var (
+	labelNFSDRecv    = sim.NewLabel("nfsd_recv")
+	labelNFSDRead    = sim.NewLabel("nfsd_read")
+	labelNFSDWrite   = sim.NewLabel("nfsd_write")
+	labelNFSDLookup  = sim.NewLabel("nfsd_lookup")
+	labelNFSDGetattr = sim.NewLabel("nfsd_getattr")
+	labelNFSDCreate  = sim.NewLabel("nfsd_create")
+	labelNFSDRemove  = sim.NewLabel("nfsd_remove")
+	labelNFSDCommit  = sim.NewLabel("nfsd_commit")
+	labelNFSDSend    = sim.NewLabel("nfsd_send")
+)
+
 // Backend is an NFS read/write/commit implementation behind the RPC
 // front-end. Handlers run on an nfsd worker process and may block in
 // virtual time. The args each handler receives belong to the worker,
@@ -325,7 +338,7 @@ func (srv *Server) worker(p *sim.Proc) {
 // it: if the server crashes while the request is in service, the computed
 // reply is discarded instead of being sent by the restarted instance.
 func (srv *Server) serve(p *sim.Proc, w *workerState, item rxItem, gen int) {
-	srv.cpu.Use(p, "nfsd_recv", srv.cfg.RecvCPUBase+sim.Time(item.frags)*srv.cfg.RecvCPUPerFragment)
+	srv.cpu.Use(p, labelNFSDRecv, srv.cfg.RecvCPUBase+sim.Time(item.frags)*srv.cfg.RecvCPUPerFragment)
 
 	d := &w.dec
 	d.Reset(item.payload, item.bulk)
@@ -344,7 +357,7 @@ func (srv *Server) serve(p *sim.Proc, w *workerState, item rxItem, gen int) {
 		if err != nil {
 			panic(fmt.Sprintf("server %s: bad READ args: %v", srv.cfg.Host, err))
 		}
-		srv.cpu.Use(p, "nfsd_read", srv.cfg.ServiceCPU/2)
+		srv.cpu.Use(p, labelNFSDRead, srv.cfg.ServiceCPU/2)
 		res := srv.backend.HandleRead(p, args)
 		if res.Status == nfsproto.NFS3OK {
 			srv.Reads++
@@ -360,7 +373,7 @@ func (srv *Server) serve(p *sim.Proc, w *workerState, item rxItem, gen int) {
 		if srv.firstWriteAt == 0 && srv.Writes == 0 {
 			srv.firstWriteAt = srv.s.Now()
 		}
-		srv.cpu.Use(p, "nfsd_write", srv.cfg.ServiceCPU)
+		srv.cpu.Use(p, labelNFSDWrite, srv.cfg.ServiceCPU)
 		res := srv.backend.HandleWrite(p, args)
 		if res.Status == nfsproto.NFS3OK {
 			srv.Writes++
@@ -375,7 +388,7 @@ func (srv *Server) serve(p *sim.Proc, w *workerState, item rxItem, gen int) {
 		if err != nil {
 			panic(fmt.Sprintf("server %s: bad LOOKUP args: %v", srv.cfg.Host, err))
 		}
-		srv.cpu.Use(p, "nfsd_lookup", srv.cfg.ServiceCPU/4)
+		srv.cpu.Use(p, labelNFSDLookup, srv.cfg.ServiceCPU/4)
 		srv.Lookups++
 		res := nfsproto.LookupRes{Status: nfsproto.NFS3ErrNoEnt}
 		if ino, st := srv.ns.Lookup(args.Dir, args.Name); st == nfsproto.NFS3OK {
@@ -387,7 +400,7 @@ func (srv *Server) serve(p *sim.Proc, w *workerState, item rxItem, gen int) {
 		if err != nil {
 			panic(fmt.Sprintf("server %s: bad GETATTR args: %v", srv.cfg.Host, err))
 		}
-		srv.cpu.Use(p, "nfsd_getattr", srv.cfg.ServiceCPU/4)
+		srv.cpu.Use(p, labelNFSDGetattr, srv.cfg.ServiceCPU/4)
 		srv.Getattrs++
 		attrs, st := srv.ns.Getattr(args.File)
 		res := nfsproto.GetattrRes{Status: st, Attrs: attrs}
@@ -397,7 +410,7 @@ func (srv *Server) serve(p *sim.Proc, w *workerState, item rxItem, gen int) {
 		if err != nil {
 			panic(fmt.Sprintf("server %s: bad CREATE args: %v", srv.cfg.Host, err))
 		}
-		srv.cpu.Use(p, "nfsd_create", srv.cfg.ServiceCPU/4)
+		srv.cpu.Use(p, labelNFSDCreate, srv.cfg.ServiceCPU/4)
 		srv.Creates++
 		ino, wcc := srv.ns.Create(args.Dir, args.Name)
 		res := nfsproto.CreateRes{Status: nfsproto.NFS3OK, File: ino.fh, Attrs: ino.Attrs(), Wcc: wcc}
@@ -407,7 +420,7 @@ func (srv *Server) serve(p *sim.Proc, w *workerState, item rxItem, gen int) {
 		if err != nil {
 			panic(fmt.Sprintf("server %s: bad REMOVE args: %v", srv.cfg.Host, err))
 		}
-		srv.cpu.Use(p, "nfsd_remove", srv.cfg.ServiceCPU/4)
+		srv.cpu.Use(p, labelNFSDRemove, srv.cfg.ServiceCPU/4)
 		srv.Removes++
 		st, wcc := srv.ns.Remove(args.Dir, args.Name)
 		res := nfsproto.RemoveRes{Status: st, Wcc: wcc}
@@ -418,7 +431,7 @@ func (srv *Server) serve(p *sim.Proc, w *workerState, item rxItem, gen int) {
 		if err != nil {
 			panic(fmt.Sprintf("server %s: bad COMMIT args: %v", srv.cfg.Host, err))
 		}
-		srv.cpu.Use(p, "nfsd_commit", srv.cfg.ServiceCPU/2)
+		srv.cpu.Use(p, labelNFSDCommit, srv.cfg.ServiceCPU/2)
 		res := srv.backend.HandleCommit(p, args)
 		srv.Commits++
 		res.Encode(reply)
@@ -435,7 +448,7 @@ func (srv *Server) serve(p *sim.Proc, w *workerState, item rxItem, gen int) {
 		reply.Release()
 		return
 	}
-	srv.cpu.Use(p, "nfsd_send", srv.cfg.SendCPU)
+	srv.cpu.Use(p, labelNFSDSend, srv.cfg.SendCPU)
 	if srv.cfg.Transport == rpcsim.TransportTCP {
 		// SendRecord copies (bulk written out), so the reply encoder is
 		// immediately dead.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // CPUPool models a machine's processors. Executing code costs virtual time
@@ -37,7 +38,7 @@ func (c *CPUPool) CPUs() int { return c.sem.Capacity() }
 // Use executes d of CPU work on some processor, blocking first if all
 // processors are busy. The label attributes the cost in the profiler,
 // mirroring the sample-driven kernel profiler the paper uses in §3.4.
-func (c *CPUPool) Use(p *Proc, label string, d Time) {
+func (c *CPUPool) Use(p *Proc, l Label, d Time) {
 	if d <= 0 {
 		return
 	}
@@ -49,59 +50,87 @@ func (c *CPUPool) Use(p *Proc, label string, d Time) {
 	p.Sleep(d)
 	c.sem.Release()
 	c.Busy += d
-	c.prof.Add(label, d)
+	c.prof.Add(l, d)
+}
+
+// Label is a profiler code-path label, resolved from its name once —
+// callers keep it in a package-level var — so charging CPU to it is a
+// slice index rather than a string hash. The zero Label is the empty
+// name.
+type Label struct{ id int32 }
+
+// labels is the process-wide label registry. Sims on different
+// goroutines may register and look up labels concurrently; charging
+// never touches it.
+var labels = struct {
+	sync.Mutex
+	names []string
+	ids   map[string]Label
+}{names: []string{""}, ids: map[string]Label{"": {}}}
+
+// NewLabel returns the label for name, registering it on first use; the
+// same name always yields the same Label.
+func NewLabel(name string) Label {
+	labels.Lock()
+	defer labels.Unlock()
+	l, ok := labels.ids[name]
+	if !ok {
+		l = Label{int32(len(labels.names))}
+		labels.names = append(labels.names, name)
+		labels.ids[name] = l
+	}
+	return l
 }
 
 // Profiler accumulates virtual CPU time per code-path label. It stands in
 // for the sample-driven histogram profiler the paper used to find
 // nfs_find_request / nfs_update_request (§3.4) and the lock section
-// (§3.5) among the kernel's top CPU consumers.
+// (§3.5) among the kernel's top CPU consumers. A label is in the profile
+// once it has been charged.
 type Profiler struct {
-	byLabel map[string]*profileCount
+	counts []profileCount // indexed by Label id
 }
 
-// profileCount is one label's accumulator; the map holds pointers so
-// Add costs a single lookup.
 type profileCount struct {
 	total Time
 	calls int
 }
 
-// NewProfiler returns an empty profiler.
-func NewProfiler() *Profiler {
-	return &Profiler{byLabel: make(map[string]*profileCount)}
-}
-
-// Add records d of CPU time against label.
-func (pr *Profiler) Add(label string, d Time) {
-	c := pr.byLabel[label]
-	if c == nil {
-		c = &profileCount{}
-		pr.byLabel[label] = c
+// Add records d of CPU time against l.
+func (pr *Profiler) Add(l Label, d Time) {
+	if int(l.id) >= len(pr.counts) {
+		pr.counts = append(pr.counts, make([]profileCount, int(l.id)+1-len(pr.counts))...)
 	}
+	c := &pr.counts[l.id]
 	c.total += d
 	c.calls++
 }
 
-// Total returns the accumulated CPU time for label.
-func (pr *Profiler) Total(label string) Time {
-	if c := pr.byLabel[label]; c != nil {
+// count returns name's accumulator, or nil if name was never charged.
+func (pr *Profiler) count(name string) *profileCount {
+	labels.Lock()
+	l, ok := labels.ids[name]
+	labels.Unlock()
+	if !ok || int(l.id) >= len(pr.counts) {
+		return nil
+	}
+	return &pr.counts[l.id]
+}
+
+// Total returns the accumulated CPU time for the label named name.
+func (pr *Profiler) Total(name string) Time {
+	if c := pr.count(name); c != nil {
 		return c.total
 	}
 	return 0
 }
 
-// Calls returns how many times label was recorded.
-func (pr *Profiler) Calls(label string) int {
-	if c := pr.byLabel[label]; c != nil {
+// Calls returns how many times the label named name was charged.
+func (pr *Profiler) Calls(name string) int {
+	if c := pr.count(name); c != nil {
 		return c.calls
 	}
 	return 0
-}
-
-// Reset clears all accumulated data.
-func (pr *Profiler) Reset() {
-	pr.byLabel = make(map[string]*profileCount)
 }
 
 // ProfileEntry is one row of a profile report.
@@ -113,10 +142,14 @@ type ProfileEntry struct {
 
 // Top returns the n largest CPU consumers, descending; n <= 0 means all.
 func (pr *Profiler) Top(n int) []ProfileEntry {
-	out := make([]ProfileEntry, 0, len(pr.byLabel))
-	for l, c := range pr.byLabel {
-		out = append(out, ProfileEntry{Label: l, Total: c.total, Calls: c.calls})
+	out := make([]ProfileEntry, 0, len(pr.counts))
+	labels.Lock()
+	for id, c := range pr.counts {
+		if c.calls > 0 {
+			out = append(out, ProfileEntry{Label: labels.names[id], Total: c.total, Calls: c.calls})
+		}
 	}
+	labels.Unlock()
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Total != out[j].Total {
 			return out[i].Total > out[j].Total

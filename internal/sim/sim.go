@@ -11,10 +11,13 @@
 //
 // The kernel is built for thousand-client fleets (DESIGN.md §12): events
 // live in a pooled 4-ary heap keyed on (time, sequence) so same-timestamp
-// events fire in scheduling order, process wakeups are heap entries rather
-// than closures, canceled events are compacted out once they make up half
-// the heap, and a parking process runs the event loop itself — one whose
-// own wakeup is the next event resumes without a coroutine switch at all.
+// events fire in scheduling order, and canceled events are compacted out
+// once they make up half the heap. Process wakeups are not closures: one
+// due at the current instant goes on a FIFO lane beside the heap, a later
+// one is a heap entry, and a sleeper whose own wakeup would be the next
+// event just advances the clock. A parking process runs the event loop
+// itself, so one whose wakeup comes next resumes without a coroutine
+// switch at all.
 package sim
 
 import (
@@ -149,9 +152,10 @@ type Sim struct {
 	seq    uint64
 	seed   int64
 	events eventQueue
-	dead   int      // canceled events still in the heap
-	pool   []*event // recycled event entries
-	limit  Time     // current Run's time limit (0 = none)
+	ready  FIFO[readyProc] // wakeups due at now, in seq order
+	dead   int             // canceled events still in the heap
+	pool   []*event        // recycled event entries
+	limit  Time            // current Run's time limit (0 = none)
 	rng    *rand.Rand
 	prof   *Profiler
 	fail   any // panic value captured from a process
@@ -171,7 +175,7 @@ func New(seed int64) *Sim {
 	return &Sim{
 		seed: seed,
 		rng:  rand.New(rand.NewSource(seed)),
-		prof: NewProfiler(),
+		prof: &Profiler{},
 	}
 }
 
@@ -262,11 +266,23 @@ func (s *Sim) At(t Time, fn func()) Event {
 // After schedules fn to run d from now.
 func (s *Sim) After(d Time, fn func()) Event { return s.At(s.now+d, fn) }
 
+// readyProc is a wakeup on the same-instant lane: due at now, ordered
+// against the heap by its seq.
+type readyProc struct {
+	p   *Proc
+	seq uint64
+}
+
 // wake schedules a process wakeup at absolute time t — the allocation-free
-// fast path behind Sleep, Yield, and every unpark.
+// fast path behind Sleep, Yield, and every unpark. A wakeup due now (a
+// handoff from Release, Signal, Unlock or Go) skips the heap for the
+// same-instant lane; it still takes a seq, so it fires exactly where the
+// heap would have fired it.
 func (s *Sim) wake(t Time, p *Proc) {
-	if t < s.now {
-		t = s.now
+	if t <= s.now {
+		s.ready.Push(readyProc{p, s.seq})
+		s.seq++
+		return
 	}
 	ev := s.alloc()
 	ev.at, ev.seq, ev.proc = t, s.seq, p
@@ -278,8 +294,19 @@ func (s *Sim) wake(t Time, p *Proc) {
 // executes events until control must transfer to a process (returning
 // that process), or until the queue drains or the limit is reached
 // (returning nil, meaning control goes back to the Run caller).
+//
+// The lane is served first unless the heap top is due now with a lower
+// seq: a callback or wakeup scheduled for this instant before the lane's
+// front was. The clock advances only once the lane is empty.
 func (s *Sim) schedule() *Proc {
-	for len(s.events) > 0 {
+	for {
+		if s.ready.Len() > 0 {
+			if len(s.events) == 0 || s.events[0].at > s.now || s.events[0].seq > s.ready.Front().seq {
+				return s.ready.Pop().p
+			}
+		} else if len(s.events) == 0 {
+			break
+		}
 		next := s.events[0]
 		if s.limit > 0 && next.at > s.limit {
 			s.now = s.limit
@@ -316,6 +343,9 @@ func (s *Sim) schedule() *Proc {
 // if any process panicked, preserving the value.
 func (s *Sim) Run(limit Time) Time {
 	s.limit = limit
+	if limit > 0 && s.now > limit {
+		s.spillReady()
+	}
 	for p := s.schedule(); p != nil; {
 		next, alive := p.resume()
 		if !alive {
@@ -327,6 +357,20 @@ func (s *Sim) Run(limit Time) Time {
 		p = next
 	}
 	return s.now
+}
+
+// spillReady moves the same-instant lane into the heap. Run calls it when
+// its limit is already past, the one way the clock steps back: the lane's
+// wakeups keep their own instant and seq, and the schedule stops at the
+// limit before firing them, as it always stopped for a heap entry due
+// after the limit.
+func (s *Sim) spillReady() {
+	for s.ready.Len() > 0 {
+		r := s.ready.Pop()
+		ev := s.alloc()
+		ev.at, ev.seq, ev.proc = s.now, r.seq, r.p
+		s.events.push(ev)
+	}
 }
 
 // afterExit runs the event loop once a process has returned. A callback
@@ -348,7 +392,7 @@ func (s *Sim) afterExit() (next *Proc) {
 
 // Idle reports whether no events remain. Canceled events count until
 // the clock passes them, as they did before compaction (see droppedMax).
-func (s *Sim) Idle() bool { return len(s.events) == 0 && s.droppedMax == 0 }
+func (s *Sim) Idle() bool { return len(s.events) == 0 && s.ready.Len() == 0 && s.droppedMax == 0 }
 
 // Live returns the number of spawned processes that have not terminated.
 func (s *Sim) Live() int { return s.live }
@@ -403,11 +447,22 @@ func (p *Proc) park() {
 
 // Sleep advances the process's virtual time by d without consuming a CPU
 // (used for pure waiting: wire propagation, timers).
+//
+// When the sleeper's own wakeup would be the next event — nothing on the
+// lane, the heap top (canceled or not) due strictly later, the Run limit
+// not passed — Sleep just advances the clock: the heap would have pushed
+// and popped that wakeup with nothing firing in between.
 func (p *Proc) Sleep(d Time) {
 	if d <= 0 {
 		return
 	}
-	p.s.wake(p.s.now+d, p)
+	s := p.s
+	t := s.now + d
+	if s.ready.Len() == 0 && (len(s.events) == 0 || s.events[0].at > t) && (s.limit <= 0 || t <= s.limit) {
+		s.now = t
+		return
+	}
+	s.wake(t, p)
 	p.park()
 }
 

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -326,7 +327,7 @@ func TestCPUPoolSerializesOnUniprocessor(t *testing.T) {
 	s := New(1)
 	cpu := s.NewCPUPool("cpu", 1)
 	for i := 0; i < 2; i++ {
-		s.Go("w", func(p *Proc) { cpu.Use(p, "work", time.Millisecond) })
+		s.Go("w", func(p *Proc) { cpu.Use(p, labelWork, time.Millisecond) })
 	}
 	end := s.Run(0)
 	if end != 2*time.Millisecond {
@@ -341,7 +342,7 @@ func TestCPUPoolOverlapsOnSMP(t *testing.T) {
 	s := New(1)
 	cpu := s.NewCPUPool("cpu", 2)
 	for i := 0; i < 2; i++ {
-		s.Go("w", func(p *Proc) { cpu.Use(p, "work", time.Millisecond) })
+		s.Go("w", func(p *Proc) { cpu.Use(p, labelWork, time.Millisecond) })
 	}
 	end := s.Run(0)
 	if end != time.Millisecond {
@@ -352,30 +353,50 @@ func TestCPUPoolOverlapsOnSMP(t *testing.T) {
 func TestCPUUseZeroIsFree(t *testing.T) {
 	s := New(1)
 	cpu := s.NewCPUPool("cpu", 1)
-	s.Go("w", func(p *Proc) { cpu.Use(p, "noop", 0) })
+	s.Go("w", func(p *Proc) { cpu.Use(p, NewLabel("noop"), 0) })
 	if end := s.Run(0); end != 0 {
 		t.Fatalf("end = %v, want 0", end)
 	}
 }
 
+var labelWork = NewLabel("work")
+
+// TestProfilerAccounting charges a Sim's profiler through its CPU pool:
+// totals and calls per label, Top's order, and a name that was
+// registered but never charged (absent, like one never registered).
 func TestProfilerAccounting(t *testing.T) {
-	pr := NewProfiler()
-	pr.Add("a", 2*time.Microsecond)
-	pr.Add("a", 3*time.Microsecond)
-	pr.Add("b", 10*time.Microsecond)
-	if pr.Total("a") != 5*time.Microsecond || pr.Calls("a") != 2 {
-		t.Fatalf("a: %v/%d", pr.Total("a"), pr.Calls("a"))
+	s := New(1)
+	cpu := s.NewCPUPool("cpu", 1)
+	a, b := NewLabel("acct_a"), NewLabel("acct_b")
+	NewLabel("acct_unused")
+	s.Go("w", func(p *Proc) {
+		cpu.Use(p, a, 2*time.Microsecond)
+		cpu.Use(p, a, 3*time.Microsecond)
+		cpu.Use(p, b, 10*time.Microsecond)
+	})
+	s.Run(0)
+	pr := s.Profiler()
+	if pr.Total("acct_a") != 5*time.Microsecond || pr.Calls("acct_a") != 2 {
+		t.Fatalf("a: %v/%d", pr.Total("acct_a"), pr.Calls("acct_a"))
 	}
-	top := pr.Top(1)
-	if len(top) != 1 || top[0].Label != "b" {
-		t.Fatalf("top = %+v", top)
+	for _, name := range []string{"acct_unused", "never_registered"} {
+		if pr.Total(name) != 0 || pr.Calls(name) != 0 {
+			t.Fatalf("%s: %v/%d, want 0/0", name, pr.Total(name), pr.Calls(name))
+		}
 	}
-	if pr.String() == "" {
-		t.Fatal("empty report")
+	top := pr.Top(0)
+	want := []ProfileEntry{{"acct_b", 10 * time.Microsecond, 1}, {"acct_a", 5 * time.Microsecond, 2}}
+	if !reflect.DeepEqual(top, want) {
+		t.Fatalf("top = %+v, want %+v", top, want)
 	}
-	pr.Reset()
-	if pr.Total("a") != 0 {
-		t.Fatal("reset did not clear")
+	if got := pr.Top(1); !reflect.DeepEqual(got, want[:1]) {
+		t.Fatalf("top(1) = %+v", got)
+	}
+	wantReport := "label                                      cpu time      calls\n" +
+		"acct_b                                         10µs          1\n" +
+		"acct_a                                          5µs          2\n"
+	if got := pr.String(); got != wantReport {
+		t.Fatalf("report:\n%s\nwant:\n%s", got, wantReport)
 	}
 }
 
@@ -508,7 +529,7 @@ func TestCPUJitterBounded(t *testing.T) {
 	s.Go("w", func(p *Proc) {
 		for i := 0; i < 200; i++ {
 			t0 := s.Now()
-			cpu.Use(p, "work", 100*time.Microsecond)
+			cpu.Use(p, labelWork, 100*time.Microsecond)
 			d := s.Now() - t0
 			if min == 0 || d < min {
 				min = d

@@ -15,6 +15,14 @@ import (
 	"repro/internal/sim"
 )
 
+// CPU profiler labels, resolved once.
+var (
+	labelSysWrite         = sim.NewLabel("sys_write")
+	labelGenericFileWrite = sim.NewLabel("generic_file_write")
+	labelSysRead          = sim.NewLabel("sys_read")
+	labelGenericFileRead  = sim.NewLabel("generic_file_read")
+)
+
 // PageSize is the i386 page size; an 8 KB benchmark write is two pages
 // ("8192 bytes is two pages, thus two requests", §3.3).
 const PageSize = 4096
@@ -124,9 +132,9 @@ func Pages(off int64, n int) iter.Seq[PageSpan] {
 // the shared skeleton of sys_write -> generic_file_write for both ext2
 // and NFS files.
 func WriteSyscall(p *sim.Proc, cpu *sim.CPUPool, costs Costs, off int64, n int, commit func(PageSpan)) {
-	cpu.Use(p, "sys_write", costs.SyscallEntry)
+	cpu.Use(p, labelSysWrite, costs.SyscallEntry)
 	for span := range Pages(off, n) {
-		cpu.Use(p, "generic_file_write", costs.PerPagePrepare+costs.PerPageCopy)
+		cpu.Use(p, labelGenericFileWrite, costs.PerPagePrepare+costs.PerPageCopy)
 		commit(span)
 	}
 }
@@ -137,9 +145,9 @@ func WriteSyscall(p *sim.Proc, cpu *sim.CPUPool, costs Costs, off int64, n int, 
 // by the copy_to_user charge. This is the shared skeleton of
 // sys_read -> generic_file_read for both ext2 and NFS files.
 func ReadSyscall(p *sim.Proc, cpu *sim.CPUPool, costs Costs, off int64, n int, fetch func(PageSpan)) {
-	cpu.Use(p, "sys_read", costs.SyscallEntry)
+	cpu.Use(p, labelSysRead, costs.SyscallEntry)
 	for span := range Pages(off, n) {
 		fetch(span)
-		cpu.Use(p, "generic_file_read", costs.PerPageCopy)
+		cpu.Use(p, labelGenericFileRead, costs.PerPageCopy)
 	}
 }
